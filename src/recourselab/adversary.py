@@ -8,6 +8,10 @@ outcomes is differentiated implicitly: at a converged counterfactual the
 objective's candidate-gradient vanishes, which turns the parameter sensitivity
 into an inverse-Hessian times mixed-partial product, realized here with
 central finite differences so only black-box access to the search is needed.
+Phase two only needs the cost gradient chained through that product, so it
+solves one Hessian system per point and takes the mixed partials as a single
+weighted parameter backprop per batch (`batch_hypergradient`);
+`implicit_jacobian` builds the dense matrix for inspection and tests.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ from .model import AdamState, MlpClassifier, TrainingDiverged, adam_step, load_m
 
 STATIONARITY_TOL = 1e-2
 HESSIAN_FD_STEP = 1e-4
-PIN_TOL = 1e-6
 RCOND_MIN = 1e-10
 FULL_INVERSE_MAX_DIM = 20
 DIAG_MIN = 1e-12
+IMPLICIT_MODES = ("auto", "full-inverse", "diagonal-approximation")
 
 
 class HessianConditionError(RuntimeError):
-    """Full inverse refused; retry with the diagonal approximation."""
+    """The candidate Hessian was refused in every mode allowed."""
 
 
 class Phase2Aborted(RuntimeError):
@@ -55,93 +59,198 @@ class JacobianEstimate:
     approximate: bool              # stationarity tolerance exceeded
 
 
-def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
-                      dataset: Dataset, *, lam: float | None = None, mode: str = "auto",
-                      fd_step: float = HESSIAN_FD_STEP,
-                      stationarity_tol: float = STATIONARITY_TOL,
-                      pin_tol: float = PIN_TOL,
-                      dice_candidates=None, dice_index=None) -> JacobianEstimate:
-    """Differentiate a converged counterfactual with respect to the parameters.
+@dataclass
+class _ImplicitSystem:
+    """The candidate Hessian on the moved coordinates of one counterfactual.
 
-    Both second-derivative blocks are realized by central finite differences
-    of the objective's first derivatives around `x_cf` (2d gradient
-    evaluations), so nothing about the search optimizer is assumed.
+    `rows` holds the finite-difference points: x_cf + h e_j for each free
+    coordinate j, then x_cf - h e_j in the same order.
+    """
+
+    free: np.ndarray
+    rows: np.ndarray
+    fd_step: float
+    hessian: np.ndarray
+    mode: str
+    rcond: float
+    stationarity: float
+    approximate: bool
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """H^-1 rhs, or rhs / diag(H) in the diagonal approximation."""
+        if self.free.size == 0:
+            return np.zeros_like(rhs)
+        if self.mode == "full-inverse":
+            return np.linalg.solve(self.hessian, rhs)
+        diag = np.diag(self.hessian)
+        return rhs / (diag if rhs.ndim == 1 else diag[:, None])
+
+
+def _implicit_system(model, x, objective, x_cf, dataset, *, lam, mode,
+                     fd_step=HESSIAN_FD_STEP, stationarity_tol=STATIONARITY_TOL,
+                     dice_candidates=None, dice_index=None,
+                     proto_pool=None) -> _ImplicitSystem:
+    """Pinned/free split, stationarity, Hessian and mode of one counterfactual.
 
     All four objectives carry an l1-at-query term, so their optima are
-    sparse: coordinates left within `pin_tol` of the query sit at kinks,
-    stay put under small parameter changes, and get exact zero rows; the
-    inverse-Hessian system is solved on the moved coordinates, where
-    classical stationarity applies.  A counterfactual whose moved
-    coordinates are not stationary within `stationarity_tol` (inf-norm)
-    yields an estimate flagged `approximate`.  Masked-off features also
-    contribute zero rows.
+    sparse.  A coordinate within one finite-difference step of the query sits
+    at a kink (its central difference would straddle it): it stays put under
+    small parameter changes and is pinned, as are masked-off features.  The
+    Hessian is a central difference of the candidate gradient over the free
+    coordinates, all 2·dm points plus `x_cf` itself in one kernel call.
+    Raises HessianConditionError when no allowed mode accepts it.
     """
+    if mode not in IMPLICIT_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     x = np.asarray(x, dtype=float)
     x_cf = np.asarray(x_cf, dtype=float)
     d = dataset.d
-    m = model.param_count
     if objective.feature_mask is None:
         mutable = np.ones(d, dtype=bool)
     else:
         mutable = np.asarray(objective.feature_mask, dtype=bool)
-    free = mutable & (np.abs(x_cf - x) > pin_tol)
-    mut = np.flatnonzero(free)
-    dm = mut.size
-
-    def grad_x(point):
-        return explainers.objective_grad_x(
-            model, x, point, objective, dataset, lam=lam,
-            dice_candidates=dice_candidates, dice_index=dice_index)
-
-    def grad_theta(point):
-        return explainers.objective_grad_params(model, x, point, objective, lam=lam)
-
-    g0 = grad_x(x_cf)
-    stationarity = float(np.max(np.abs(g0[mut]))) if dm else 0.0
-    approximate = stationarity > stationarity_tol
-
-    hessian = np.zeros((dm, dm))
-    mixed = np.zeros((dm, m))
-    for row, j in enumerate(mut):
-        bump = np.zeros(d)
-        bump[j] = fd_step
-        gx_hi = grad_x(x_cf + bump)
-        gx_lo = grad_x(x_cf - bump)
-        hessian[row] = (gx_hi - gx_lo)[mut] / (2.0 * fd_step)
-        gt_hi = grad_theta(x_cf + bump)
-        gt_lo = grad_theta(x_cf - bump)
-        mixed[row] = (gt_hi - gt_lo) / (2.0 * fd_step)
+    free = np.flatnonzero(mutable & (np.abs(x_cf - x) > fd_step))
+    dm = free.size
+    bumps = fd_step * np.eye(d)[free]
+    rows = np.concatenate([x_cf + bumps, x_cf - bumps])
+    grads, _ = explainers.objective_grad_x_rows(
+        model, x, np.vstack([x_cf, rows]), objective, dataset, lam=lam,
+        dice_candidates=dice_candidates, dice_index=dice_index, proto_pool=proto_pool)
+    stationarity = float(np.max(np.abs(grads[0, free]))) if dm else 0.0
+    hessian = (grads[1:dm + 1][:, free] - grads[dm + 1:][:, free]) / (2.0 * fd_step)
     hessian = 0.5 * (hessian + hessian.T)
+    mode, rcond = _choose_mode(hessian, mode)
+    return _ImplicitSystem(free=free, rows=rows, fd_step=fd_step, hessian=hessian,
+                           mode=mode, rcond=rcond, stationarity=stationarity,
+                           approximate=stationarity > stationarity_tol)
 
+
+def _choose_mode(hessian: np.ndarray, mode: str) -> tuple[str, float]:
+    """The mode that solves with `hessian`, and its reciprocal condition.
+
+    `auto` takes the full inverse up to FULL_INVERSE_MAX_DIM moved
+    coordinates and the diagonal approximation above that or when the full
+    inverse is refused.
+    """
+    dm = hessian.shape[0]
     if mode == "auto":
-        mode = "full-inverse" if dm <= FULL_INVERSE_MAX_DIM else "diagonal-approximation"
+        if dm <= FULL_INVERSE_MAX_DIM:
+            try:
+                return _choose_mode(hessian, "full-inverse")
+            except HessianConditionError:
+                pass
+        return _choose_mode(hessian, "diagonal-approximation")
+    if dm == 0:
+        return mode, 1.0
     if mode == "full-inverse":
-        if dm == 0:
-            rcond, solved = 1.0, np.zeros((0, m))
-        else:
-            cond = np.linalg.cond(hessian)
-            rcond = 0.0 if not np.isfinite(cond) else (1.0 / cond if cond > 0 else 0.0)
-            if rcond < RCOND_MIN:
-                raise HessianConditionError(
-                    f"candidate Hessian reciprocal condition {rcond:.2e} below "
-                    f"{RCOND_MIN:.0e}; use mode='diagonal-approximation'")
-            solved = -np.linalg.solve(hessian, mixed)
-    elif mode == "diagonal-approximation":
-        if dm == 0:
-            rcond, solved = 1.0, np.zeros((0, m))
-        else:
-            diag = np.diag(hessian).copy()
-            if np.min(np.abs(diag)) < DIAG_MIN:
-                raise HessianConditionError("candidate Hessian diagonal is numerically zero")
-            rcond = float(np.min(np.abs(diag)) / np.max(np.abs(diag)))
-            solved = -mixed / diag[:, None]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        cond = np.linalg.cond(hessian)
+        rcond = 0.0 if not np.isfinite(cond) else (1.0 / cond if cond > 0 else 0.0)
+        if rcond < RCOND_MIN:
+            raise HessianConditionError(
+                f"candidate Hessian reciprocal condition {rcond:.2e} below "
+                f"{RCOND_MIN:.0e}; use mode='diagonal-approximation'")
+        return mode, float(rcond)
+    diag = np.abs(np.diag(hessian))
+    if np.min(diag) < DIAG_MIN:
+        raise HessianConditionError("candidate Hessian diagonal is numerically zero")
+    return mode, float(np.min(diag) / np.max(diag))
 
-    matrix = np.zeros((d, m))
-    matrix[mut] = solved
-    return JacobianEstimate(matrix=matrix, mode=mode, hessian_rcond=float(rcond),
-                            stationarity_inf_norm=stationarity, approximate=approximate)
+
+def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
+                      dataset: Dataset, *, lam: float | None = None, mode: str = "auto",
+                      fd_step: float = HESSIAN_FD_STEP,
+                      stationarity_tol: float = STATIONARITY_TOL,
+                      dice_candidates=None, dice_index=None) -> JacobianEstimate:
+    """Differentiate a converged counterfactual with respect to the parameters.
+
+    The dense d x m matrix, for inspection and as the reference that
+    `batch_hypergradient` is checked against; phase two never builds it.
+    Both second-derivative blocks are central finite differences of the
+    objective's first derivatives around `x_cf`, so nothing about the search
+    optimizer is assumed.  Pinned and masked-off coordinates (see
+    `_implicit_system`) get exact zero rows; the inverse-Hessian system is
+    solved on the moved coordinates, where classical stationarity applies.
+    A counterfactual whose moved coordinates are not stationary within
+    `stationarity_tol` (inf-norm) yields an estimate flagged `approximate`.
+    """
+    system = _implicit_system(model, x, objective, x_cf, dataset, lam=lam, mode=mode,
+                              fd_step=fd_step, stationarity_tol=stationarity_tol,
+                              dice_candidates=dice_candidates, dice_index=dice_index)
+    dm = system.free.size
+    mixed = np.zeros((dm, model.param_count))
+    for i in range(dm):
+        gt_hi = explainers.objective_grad_params(model, x, system.rows[i], objective, lam=lam)
+        gt_lo = explainers.objective_grad_params(model, x, system.rows[dm + i], objective,
+                                                 lam=lam)
+        mixed[i] = (gt_hi - gt_lo) / (2.0 * fd_step)
+    matrix = np.zeros((dataset.d, model.param_count))
+    matrix[system.free] = -system.solve(mixed)
+    return JacobianEstimate(matrix=matrix, mode=system.mode, hessian_rcond=system.rcond,
+                            stationarity_inf_norm=system.stationarity,
+                            approximate=system.approximate)
+
+
+@dataclass
+class HypergradCounts:
+    """What the implicit step did over a batch of found counterfactuals."""
+
+    full_inverse: int = 0
+    diagonal: int = 0
+    approximate: int = 0           # stationarity tolerance exceeded
+    skipped: int = 0               # Hessian refused: contributes zero
+
+
+def batch_hypergradient(model: MlpClassifier, origins, queries, results,
+                        objective: CfObjective, dataset: Dataset,
+                        mode: str = "auto") -> tuple[np.ndarray, HypergradCounts]:
+    """Mean over the found results of v @ J, without building any J.
+
+    `v = sign(x_cf - origin) / mad` is the recourse cost's gradient and J the
+    implicit Jacobian of `x_cf` at its query (`implicit_jacobian`).  With
+    H w = v on the moved coordinates (w = v / diag H in the diagonal
+    approximation), v @ J = -w^T M, and M's rows are central differences of
+    the validity term's parameter gradient, so -w^T M is that gradient
+    weighted by -/+ w_j / 2h at the points x_cf +/- h e_j.  All points of
+    the batch go through one parameter backprop.  Queries the model already
+    accepts and refused Hessians count as zero in the mean; not-found
+    results are left out of it.
+    """
+    counts = HypergradCounts()
+    n_found = sum(1 for r in results if r.found)
+    pending = [(origin, query, r) for origin, query, r in zip(origins, queries, results)
+               if r.found and not r.query_was_valid]
+    proto_pool = None
+    if objective.kind == "prototypes" and pending:
+        proto_pool = explainers._predicted_positive_train(model, dataset)
+    rows, weights = [np.empty((0, dataset.d))], [np.empty(0)]
+    for origin, query, r in pending:
+        dice = ({"dice_candidates": r.candidates, "dice_index": r.candidate_index}
+                if objective.kind == "dice" else {})
+        try:
+            system = _implicit_system(model, query, objective, r.x_cf, dataset,
+                                      lam=r.final_lam, mode=mode, proto_pool=proto_pool,
+                                      **dice)
+        except HessianConditionError:
+            counts.skipped += 1
+            continue
+        if system.mode == "full-inverse":
+            counts.full_inverse += 1
+        else:
+            counts.diagonal += 1
+        counts.approximate += int(system.approximate)
+        v = np.sign(r.x_cf - np.asarray(origin, dtype=float)) / dataset.mad
+        w = system.solve(v[system.free]) / (2.0 * system.fd_step)
+        if objective.kind != "dice":
+            w = r.final_lam * w    # the squared push enters scaled by its weight
+        rows.append(system.rows)
+        weights.append(np.concatenate([-w, w]))
+    X = np.concatenate(rows)
+    if X.shape[0] == 0:
+        return np.zeros(model.param_count), counts
+    wts = np.concatenate(weights) / n_found
+    if objective.kind == "dice":
+        return model.grad_params_hinge_logit(X, weights=wts), counts
+    return model.grad_params_squared_push(X, weights=wts), counts
 
 
 @dataclass
@@ -160,43 +269,44 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
                              mode: str = "auto") -> TermGrad:
     """Parameter gradient of the recourse cost d_W(x, A(x + delta)).
 
-    Runs the search at the (optionally perturbed) query, then chains the cost
-    gradient at the found counterfactual through the implicit Jacobian.
-    Failed searches contribute a zero gradient; queries the model already
-    accepts have exactly zero sensitivity (the search returns the query
-    itself, whose cost does not involve the parameters).
+    A one-row batch of the phase-two path: the search runs at the
+    (optionally perturbed) query and the cost gradient at the found
+    counterfactual is chained through the implicit step.  Failed searches
+    contribute a zero gradient; queries the model already accepts have
+    exactly zero sensitivity (the search returns the query itself, whose cost
+    does not involve the parameters).
     """
     x = np.asarray(x, dtype=float)
     query = x if delta is None else x + np.asarray(delta, dtype=float)
-    result = explainers.find_counterfactual(
-        model, query, objective, dataset, initializer, budget, cost_reference=x)
-    m = model.param_count
-    if not result.found:
-        return TermGrad(grad=np.zeros(m), found=False, cost=float("nan"), result=result)
-    if result.query_was_valid:
-        return TermGrad(grad=np.zeros(m), found=True, cost=result.cost, result=result)
-    try:
-        est = _jacobian_for_result(model, query, objective, dataset, result, mode)
-    except HessianConditionError:
-        return TermGrad(grad=np.zeros(m), found=True, cost=result.cost,
-                        result=result, skipped=True)
-    v = np.sign(result.x_cf - x) / dataset.mad
-    return TermGrad(grad=v @ est.matrix, found=True, cost=result.cost, result=result)
+    term = _batch_term_grads(model, x[None, :], query[None, :], objective, dataset,
+                             initializer, budget, mode)
+    result = term.results[0]
+    return TermGrad(grad=term.grad, found=result.found, cost=result.cost, result=result,
+                    skipped=term.counts.skipped > 0)
 
 
-def _jacobian_for_result(model, query, objective, dataset, result, mode):
-    kwargs = {}
-    if objective.kind == "dice":
-        kwargs = {"dice_candidates": result.candidates, "dice_index": result.candidate_index}
-    try:
-        return implicit_jacobian(model, query, objective, result.x_cf, dataset,
-                                 lam=result.final_lam, mode=mode, **kwargs)
-    except HessianConditionError:
-        if mode == "auto":
-            return implicit_jacobian(model, query, objective, result.x_cf, dataset,
-                                     lam=result.final_lam,
-                                     mode="diagonal-approximation", **kwargs)
-        raise
+@dataclass
+class _BatchTerm:
+    results: list[explainers.CfResult]
+    mean_cost: float               # over the found results
+    grad: np.ndarray
+    counts: HypergradCounts
+
+    @property
+    def not_found(self) -> int:
+        return sum(1 for r in self.results if not r.found)
+
+
+def _batch_term_grads(model, origins, queries, objective, dataset, initializer,
+                      budget, mode) -> _BatchTerm:
+    """Search a batch and chain the found counterfactuals through the implicit step."""
+    batch = explainers.batch_explain(model, queries, objective, dataset,
+                                     initializer, budget, cost_reference=origins)
+    grad, counts = batch_hypergradient(model, origins, queries, batch.results, objective,
+                                       dataset, mode)
+    costs = [r.cost for r in batch.results if r.found]
+    mean_cost = float(np.mean(costs)) if costs else float("nan")
+    return _BatchTerm(results=batch.results, mean_cost=mean_cost, grad=grad, counts=counts)
 
 
 # -- phase one -------------------------------------------------------------------
@@ -312,6 +422,12 @@ class Phase2Step:
     objective: float
     constraint_ok: bool
     not_found: int
+    # the implicit step over the step's three batches (absent from older
+    # telemetry files, hence the defaults)
+    hypergrad_full_inverse: int = 0
+    hypergrad_diagonal: int = 0
+    hypergrad_approximate: int = 0
+    hypergrad_skipped: int = 0
 
 
 @dataclass
@@ -327,32 +443,6 @@ class AdversarialArtifact:
     @property
     def delta_l1(self) -> float:
         return float(np.sum(np.abs(self.delta)))
-
-
-def _batch_term_grads(model, origins, queries, objective, dataset, initializer,
-                      budget, mode):
-    """Search a batch and chain each found counterfactual through its Jacobian."""
-    batch = explainers.batch_explain(model, queries, objective, dataset,
-                                     initializer, budget, cost_reference=origins)
-    m = model.param_count
-    grads, costs = [], []
-    for origin, query, r in zip(origins, queries, batch.results):
-        if not r.found:
-            continue
-        costs.append(r.cost)
-        if r.query_was_valid:
-            grads.append(np.zeros(m))
-            continue
-        try:
-            est = _jacobian_for_result(model, query, objective, dataset, r, mode)
-        except HessianConditionError:
-            grads.append(np.zeros(m))
-            continue
-        v = np.sign(r.x_cf - origin) / dataset.mad
-        grads.append(v @ est.matrix)
-    mean_cost = float(np.mean(costs)) if costs else float("nan")
-    mean_grad = np.mean(grads, axis=0) if grads else np.zeros(m)
-    return mean_cost, mean_grad, batch.not_found, len(batch.results)
 
 
 def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
@@ -388,17 +478,15 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     constraint_ever = False
 
     for step in range(config.steps + 1):
-        np_delta_cost, g_np_delta, nf1, n1 = _batch_term_grads(
-            net, np_, np_ + delta, config.objective, dataset,
-            config.initializer, config.budget, config.jacobian_mode)
-        np_clean_cost, g_np_clean, nf2, n2 = _batch_term_grads(
-            net, np_, np_, config.objective, dataset,
-            config.initializer, config.budget, config.jacobian_mode)
-        pr_clean_cost, g_pr_clean, nf3, n3 = _batch_term_grads(
-            net, pr, pr, config.objective, dataset,
-            config.initializer, config.budget, config.jacobian_mode)
-        total = max(n1 + n2 + n3, 1)
-        not_found = nf1 + nf2 + nf3
+        terms = [_batch_term_grads(net, origins, queries, config.objective, dataset,
+                                   config.initializer, config.budget, config.jacobian_mode)
+                 for origins, queries in ((np_, np_ + delta), (np_, np_), (pr, pr))]
+        np_delta, np_clean, pr_clean = terms
+        np_delta_cost = np_delta.mean_cost
+        np_clean_cost = np_clean.mean_cost
+        pr_clean_cost = pr_clean.mean_cost
+        total = max(sum(len(t.results) for t in terms), 1)
+        not_found = sum(t.not_found for t in terms)
         if not_found / total > config.abort_not_found_rate:
             raise Phase2Aborted(not_found / total, step)
 
@@ -414,7 +502,11 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
             np_delta_cost=np_delta_cost, np_clean_cost=np_clean_cost,
             pr_clean_cost=pr_clean_cost, bce=bce,
             objective=float(objective_value), constraint_ok=constraint_ok,
-            not_found=not_found))
+            not_found=not_found,
+            hypergrad_full_inverse=sum(t.counts.full_inverse for t in terms),
+            hypergrad_diagonal=sum(t.counts.diagonal for t in terms),
+            hypergrad_approximate=sum(t.counts.approximate for t in terms),
+            hypergrad_skipped=sum(t.counts.skipped for t in terms)))
         if constraint_ok:
             constraint_ever = True
             if objective_value < best_objective:
@@ -424,9 +516,10 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         if step == config.steps:
             break
         grad = config.bce_weight * net.grad_params_bce(X, y) \
-            + config.np_cost_weight * g_np_delta
+            + config.np_cost_weight * np_delta.grad
         if np.isfinite(disparity):
-            grad = grad + config.disparity_weight * 2.0 * disparity * (g_pr_clean - g_np_clean)
+            grad = grad + config.disparity_weight * 2.0 * disparity * (
+                pr_clean.grad - np_clean.grad)
         net.set_flat(adam_step(state, net.flatten(), grad))
 
     if best_flat is not None:

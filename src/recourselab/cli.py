@@ -439,8 +439,7 @@ def _sweep_cell_config(config: ExperimentConfig, axis: str, value) -> Experiment
     return cell
 
 
-def cmd_sweep(config: ExperimentConfig, out_dir: Path, deterministic: bool,
-              jobs: int = 1) -> int:
+def cmd_sweep(config: ExperimentConfig, out_dir: Path, deterministic: bool) -> int:
     sweep = config.sweep or SweepSection(axis="initializer",
                                          values=[config.explainer.initializer])
     values = sweep.values or [_default_cell_value(config, sweep.axis)]
@@ -529,10 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="explain one dataset row as JSON")
     common(p_explain)
     p_explain.add_argument("--model", required=True, help="model checkpoint (.npz)")
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")
-    common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="upper bound on concurrent cells")
+    common(sub.add_parser("sweep", help="run the configured sweep grid"))
     return parser
 
 
@@ -551,7 +547,7 @@ def main(argv=None) -> int:
         if args.command == "explain":
             return cmd_explain(config, out_dir, args.deterministic, args.model)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, args.deterministic, args.jobs)
+            return cmd_sweep(config, out_dir, args.deterministic)
         raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

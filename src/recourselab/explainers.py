@@ -260,21 +260,35 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
 def objective_value(model, query, candidate, objective, dataset, lam=None,
                     dice_candidates=None, dice_index=None) -> float:
     """Scalar objective at one candidate, as the search sees it."""
-    ctx = _point_context(model, query, candidate, objective, dataset,
-                         dice_candidates, dice_index)
-    _, value, _ = _objective_grads(model, ctx["q"], ctx["C"], _lam_of(objective, lam),
-                                   objective, dataset.mad, ctx["proto_pool"])
-    return float(value[0])
+    _, values = objective_grad_x_rows(model, query, np.asarray(candidate)[None, :],
+                                      objective, dataset, lam, dice_candidates, dice_index)
+    return float(values[0])
 
 
-def objective_grad_x(model, query, candidate, objective, dataset, lam=None,
-                     dice_candidates=None, dice_index=None) -> np.ndarray:
-    """Gradient of the objective with respect to the (selected) candidate."""
-    ctx = _point_context(model, query, candidate, objective, dataset,
-                         dice_candidates, dice_index)
-    grad, _, _ = _objective_grads(model, ctx["q"], ctx["C"], _lam_of(objective, lam),
-                                  objective, dataset.mad, ctx["proto_pool"])
-    return grad[0, ctx["slot"]]
+def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
+                          dice_candidates=None, dice_index=None, proto_pool=None):
+    """Candidate gradients and objective values at each row of `points`.
+
+    One kernel call for all rows.  Each row stands in for the selected
+    candidate; for dice that is slot `dice_index` of `dice_candidates`, the
+    other candidates held fixed.  `proto_pool` defaults to the positively
+    predicted train rows.  Returns (gradients (n, d), values (n,)).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    queries = np.repeat(np.asarray(query, dtype=float)[None, :], n, axis=0)
+    slot = 0
+    if objective.kind == "dice" and dice_candidates is not None:
+        C = np.repeat(np.asarray(dice_candidates, dtype=float)[None, :, :], n, axis=0)
+        slot = int(dice_index or 0)
+        C[:, slot] = points
+    else:
+        C = points[:, None, :]
+    if objective.kind == "prototypes" and proto_pool is None:
+        proto_pool = _predicted_positive_train(model, dataset)
+    grad, value, _ = _objective_grads(model, queries, C, _lam_of(objective, lam),
+                                      objective, dataset.mad, proto_pool)
+    return grad[:, slot], value
 
 
 def objective_grad_params(model, query, candidate, objective, lam=None) -> np.ndarray:
@@ -294,25 +308,6 @@ def _lam_of(objective, lam):
     if lam is not None:
         return float(lam)
     return objective.lam1 if objective.kind == "dice" else objective.lam
-
-
-def _point_context(model, query, candidate, objective, dataset, dice_candidates, dice_index):
-    q = np.asarray(query, dtype=float)[None, :]
-    if objective.kind == "dice":
-        if dice_candidates is None:
-            cands = np.asarray(candidate, dtype=float)[None, :]
-            slot = 0
-        else:
-            cands = np.array(dice_candidates, dtype=float)
-            slot = int(dice_index or 0)
-            cands[slot] = np.asarray(candidate, dtype=float)
-        C = cands[None, :, :]
-    else:
-        C = np.asarray(candidate, dtype=float)[None, None, :]
-        slot = 0
-    proto_pool = (_predicted_positive_train(model, dataset)
-                  if objective.kind == "prototypes" else None)
-    return {"q": q, "C": C, "proto_pool": proto_pool, "slot": slot}
 
 
 # -- candidate initialization -----------------------------------------------------

@@ -200,23 +200,31 @@ class MlpClassifier:
         p = sigmoid(z)
         return self._grad_params_from_dz(acts, (p - y) / X.shape[0])
 
-    def grad_params_squared_push(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of mean (f(x) - 1)^2 over the batch."""
+    def grad_params_squared_push(self, X: np.ndarray, weights=None) -> np.ndarray:
+        """Gradient of mean (f(x) - 1)^2 over the batch.
+
+        With per-row `weights`, the gradient of sum_r weights[r] * (f(x_r) - 1)^2.
+        """
         X = np.asarray(X, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
         acts, z = self._forward(X, check=True)
         p = sigmoid(z)
-        dz = 2.0 * (p - 1.0) * p * (1.0 - p) / X.shape[0]
+        dz = 2.0 * (p - 1.0) * p * (1.0 - p)
+        dz = dz / X.shape[0] if weights is None else dz * weights
         return self._grad_params_from_dz(acts, dz)
 
-    def grad_params_hinge_logit(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of mean max(0, 1 - logit(x)) over the batch."""
+    def grad_params_hinge_logit(self, X: np.ndarray, weights=None) -> np.ndarray:
+        """Gradient of mean max(0, 1 - logit(x)) over the batch.
+
+        With per-row `weights`, the gradient of sum_r weights[r] * max(0, 1 - logit(x_r)).
+        """
         X = np.asarray(X, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
         acts, z = self._forward(X, check=True)
-        dz = -(z < 1.0).astype(float) / X.shape[0]
+        active = (z < 1.0).astype(float)
+        dz = -active / X.shape[0] if weights is None else -active * weights
         return self._grad_params_from_dz(acts, dz)
 
     # -- losses ------------------------------------------------------------

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 import recourselab as rl
+from conftest import negative_test_rows
+from recourselab import adversary
 from recourselab.adversary import (
     AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Config,
-    counterfactual_term_grad, implicit_jacobian, load_artifact, phase1_fit, phase2_fit,
-    save_artifact,
+    batch_hypergradient, counterfactual_term_grad, implicit_jacobian, load_artifact,
+    phase1_fit, phase2_fit, save_artifact,
 )
-from recourselab.explainers import CfObjective, Initializer, SearchBudget
+from recourselab.explainers import OBJECTIVE_KINDS, CfObjective, CfResult, Initializer, SearchBudget
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +94,44 @@ class TestImplicitJacobian:
             implicit_jacobian(tiny_net, x, obj, x_cf, tiny_ds, lam=0.0,
                               mode="full-inverse")
 
+    def test_coordinate_within_fd_step_stays_pinned(self, synth_small, baseline_small):
+        # A coordinate closer to the query than one finite-difference step
+        # sits at the l1 kink; treating it as free made its central
+        # difference straddle the kink and wrecked the Hessian's condition.
+        obj = CfObjective("wachter")
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)]
+        batch = rl.batch_explain(baseline_small, X, obj, synth_small)
+        x, res = next((x, r) for x, r in zip(X, batch.results)
+                      if r.found and np.sum(r.x_cf == x) == 1)
+        j = int(np.flatnonzero(res.x_cf == x)[0])
+        near = res.x_cf.copy()
+        near[j] += 5e-5
+        at_kink = adversary._implicit_system(baseline_small, x, obj, res.x_cf, synth_small,
+                                             lam=res.final_lam, mode="auto")
+        off_kink = adversary._implicit_system(baseline_small, x, obj, near, synth_small,
+                                              lam=res.final_lam, mode="auto")
+        assert np.array_equal(off_kink.free, at_kink.free)
+        assert j not in off_kink.free
+        assert off_kink.rcond == at_kink.rcond
+        est = implicit_jacobian(baseline_small, x, obj, near, synth_small, lam=res.final_lam)
+        assert np.all(est.matrix[j] == 0.0)
+        assert est.hessian_rcond == at_kink.rcond
+
+    def test_auto_falls_back_to_diagonal(self, tiny_ds):
+        # one hidden unit: the candidate Hessian is rank one, so the full
+        # inverse is refused while its diagonal is not
+        net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
+        x = tiny_ds.features[0]
+        x_cf = x + np.array([0.3, -0.2])
+        obj = CfObjective("wachter")
+        with pytest.raises(HessianConditionError):
+            implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0, mode="full-inverse")
+        auto = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
+        diagonal = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0,
+                                     mode="diagonal-approximation")
+        assert auto.mode == "diagonal-approximation"
+        assert auto.matrix.tobytes() == diagonal.matrix.tobytes()
+
     def test_stationarity_flag(self, tiny_ds, tiny_net):
         x = tiny_ds.features[0]
         x_cf = x + np.array([0.5, -0.4])  # arbitrary, not converged
@@ -121,6 +163,19 @@ class TestCounterfactualTermGrad:
                                        CfObjective("wachter"), tiny_ds)
         assert out.found and np.all(out.grad == 0.0)
 
+    def test_matches_one_row_batch(self, tiny_ds, tiny_net, tiny_search):
+        x, res, budget = tiny_search
+        obj = CfObjective("wachter")
+        out = counterfactual_term_grad(tiny_net, x, None, obj, tiny_ds, budget=budget)
+        grad, counts = batch_hypergradient(tiny_net, x[None], x[None], [res], obj, tiny_ds)
+        assert out.grad.tobytes() == grad.tobytes()
+        assert out.cost == res.cost and not out.skipped
+        assert counts.full_inverse == 1
+        v = np.sign(res.x_cf - x) / tiny_ds.mad
+        dense = v @ implicit_jacobian(tiny_net, x, obj, res.x_cf, tiny_ds,
+                                      lam=res.final_lam).matrix
+        assert_close(out.grad, dense)
+
     def test_directional_derivative_matches_research(self, tiny_ds, tiny_net, tiny_search):
         # full re-search finite differences along random parameter directions
         x, res, budget = tiny_search
@@ -145,6 +200,156 @@ class TestCounterfactualTermGrad:
                 assert abs(got - fd) / abs(fd) <= 0.10
                 checked += 1
         assert checked >= 1
+
+
+def assert_close(got, want, rtol=1e-9):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module")
+def wide_ds(tmp_path_factory):
+    """Five features, so the implicit systems have off-diagonal structure."""
+    rng = np.random.default_rng(5)
+    d = 5
+    label = rng.integers(0, 2, 120)
+    feats = rng.standard_normal((120, d)) + np.where(label == 1, 1.0, -1.0)[:, None]
+    group = rng.integers(0, 2, 120)
+    names = [f"f{j}" for j in range(d)]
+    lines = [",".join(names + ["group", "label"])]
+    lines += [",".join(map(repr, row.tolist())) + f",{g},{y}"
+              for row, g, y in zip(feats, group, label)]
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    schema = rl.CsvSchema(label="label", protected_column="group", features=names)
+    return rl.load_csv(path, schema, seed=0)
+
+
+@pytest.fixture(scope="module")
+def wide_net(wide_ds):
+    return rl.train_baseline(wide_ds, steps=30, seed=1, hidden=(8,)).model
+
+
+def planted_batch(ds, objective, seed):
+    """Origins, perturbed queries and found results around them.
+
+    The counterfactuals are not converged: v @ J = -w^T M holds at any point,
+    so the batch path must match the dense reference everywhere.  Some
+    coordinates sit on the query (pinned); the batch also holds a query the
+    model already accepts and a not-found search.
+    """
+    rng = np.random.default_rng(seed)
+    d = ds.d
+    mutable = (np.ones(d, dtype=bool) if objective.feature_mask is None
+               else np.asarray(objective.feature_mask))
+    origins = ds.features[ds.test_idx[:5]]
+    queries = origins + 0.05 * rng.standard_normal(origins.shape)
+    results = []
+    for q in queries[:3]:
+        k = 3 if objective.kind == "dice" else 1
+        moves = 0.5 * rng.standard_normal((k, d))
+        moves[:, ~mutable] = 0.0
+        moves[:, rng.random(d) < 0.3] = 0.0
+        cands = q + moves
+        pick = k - 1
+        extra = {"candidates": cands, "candidate_index": pick} if k > 1 else {}
+        results.append(CfResult(x_cf=cands[pick], valid=True, cost=1.0, iterations=1,
+                                final_lam=2.0, initializer="origin", optimizer="adam",
+                                **extra))
+    results.append(CfResult(x_cf=queries[3].copy(), valid=True, cost=0.0, iterations=0,
+                            final_lam=1.0, initializer="origin", optimizer="adam",
+                            query_was_valid=True))
+    results.append(CfResult(x_cf=None, valid=False, cost=float("nan"), iterations=9,
+                            final_lam=1.0, initializer="origin", optimizer="adam"))
+    return origins, queries, results
+
+
+def dense_mean_hypergradient(net, origins, queries, results, objective, ds, mode):
+    """Mean of v @ implicit_jacobian(...).matrix over the found results."""
+    grads = []
+    for origin, query, r in zip(origins, queries, results):
+        if not r.found:
+            continue
+        if r.query_was_valid:
+            grads.append(np.zeros(net.param_count))
+            continue
+        dice = ({"dice_candidates": r.candidates, "dice_index": r.candidate_index}
+                if objective.kind == "dice" else {})
+        try:
+            est = implicit_jacobian(net, query, objective, r.x_cf, ds, lam=r.final_lam,
+                                    mode=mode, **dice)
+        except HessianConditionError:
+            grads.append(np.zeros(net.param_count))
+            continue
+        grads.append(np.sign(r.x_cf - origin) / ds.mad @ est.matrix)
+    return np.mean(grads, axis=0)
+
+
+class TestBatchHypergradient:
+    @pytest.mark.parametrize("mode", ["full-inverse", "diagonal-approximation", "auto"])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_matches_dense_jacobian(self, wide_ds, wide_net, kind, masked, mode):
+        mask = (True, False, True, True, False) if masked else None
+        obj = CfObjective(kind, feature_mask=mask)
+        origins, queries, results = planted_batch(wide_ds, obj, seed=len(kind))
+        grad, counts = batch_hypergradient(wide_net, origins, queries, results, obj,
+                                           wide_ds, mode=mode)
+        dense = dense_mean_hypergradient(wide_net, origins, queries, results, obj,
+                                         wide_ds, mode)
+        assert np.linalg.norm(dense) > 0.0
+        assert_close(grad, dense)
+        assert counts.full_inverse + counts.diagonal + counts.skipped == 3
+        if mode == "diagonal-approximation":
+            assert counts.full_inverse == 0
+
+    def test_auto_uses_diagonal_above_max_dim(self, wide_ds, wide_net, monkeypatch):
+        obj = CfObjective("wachter")
+        origins, queries, results = planted_batch(wide_ds, obj, seed=1)
+        monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", 1)
+        grad, counts = batch_hypergradient(wide_net, origins, queries, results, obj, wide_ds)
+        assert counts.full_inverse == 0 and counts.diagonal == 3
+        assert_close(grad, dense_mean_hypergradient(wide_net, origins, queries, results, obj,
+                                                    wide_ds, "diagonal-approximation"))
+
+    def test_auto_fallback_after_refused_full_inverse(self, tiny_ds):
+        net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
+        obj = CfObjective("wachter")
+        origins = tiny_ds.features[:2]
+        results = [CfResult(x_cf=x + np.array([0.3, -0.2]), valid=True, cost=1.0,
+                            iterations=1, final_lam=4.0, initializer="origin",
+                            optimizer="adam") for x in origins]
+        grad, counts = batch_hypergradient(net, origins, origins, results, obj, tiny_ds)
+        assert counts.full_inverse == 0 and counts.diagonal == 2 and counts.skipped == 0
+        assert_close(grad, dense_mean_hypergradient(net, origins, origins, results, obj,
+                                                    tiny_ds, "diagonal-approximation"))
+        forced, counts = batch_hypergradient(net, origins, origins, results, obj, tiny_ds,
+                                             mode="full-inverse")
+        assert counts.skipped == 2 and np.all(forced == 0.0)
+
+    def test_refused_hessian_contributes_zero(self, tiny_ds, tiny_net, tiny_search):
+        x, res, _ = tiny_search
+        obj = CfObjective("wachter")
+        # without the validity term the wachter Hessian is exactly zero: refused
+        refused = CfResult(x_cf=x + np.array([0.7, -0.6]), valid=True, cost=1.0,
+                           iterations=1, final_lam=0.0, initializer="origin",
+                           optimizer="adam")
+        origins = np.stack([x, x])
+        grad, counts = batch_hypergradient(tiny_net, origins, origins, [res, refused], obj,
+                                           tiny_ds)
+        assert counts.skipped == 1 and counts.full_inverse == 1
+        alone, _ = batch_hypergradient(tiny_net, x[None], x[None], [res], obj, tiny_ds)
+        assert_close(grad, alone / 2.0)
+        assert_close(grad, dense_mean_hypergradient(tiny_net, origins, origins,
+                                                    [res, refused], obj, tiny_ds, "auto"))
+
+    def test_nothing_to_differentiate_gives_zero(self, tiny_ds, tiny_net):
+        obj = CfObjective("wachter")
+        _, _, results = planted_batch(tiny_ds, obj, seed=0)
+        origins = tiny_ds.features[:2]
+        grad, counts = batch_hypergradient(tiny_net, origins, origins, results[3:], obj,
+                                           tiny_ds)
+        assert grad.shape == (tiny_net.param_count,) and np.all(grad == 0.0)
+        assert counts == adversary.HypergradCounts()
 
 
 def mini_phase1(steps=300, seed=2):
@@ -223,6 +428,22 @@ class TestPhase2:
         assert step.not_found >= 0
         assert isinstance(step.constraint_ok, bool)
 
+    def test_hypergradient_counts(self, synth_small, baseline_small):
+        art = phase2_fit(baseline_small, np.zeros(2), synth_small, mini_phase2(steps=0))
+        step = art.phase2_steps[0]
+        solved = step.hypergrad_full_inverse + step.hypergrad_diagonal
+        assert solved > 0
+        assert 0 <= step.hypergrad_approximate <= solved
+        assert step.hypergrad_skipped >= 0
+
+    def test_no_dense_jacobian(self, synth_small, baseline_small, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase 2 built a dense Jacobian")
+
+        monkeypatch.setattr(adversary, "implicit_jacobian", refuse)
+        art = phase2_fit(baseline_small, np.zeros(2), synth_small, mini_phase2(steps=1))
+        assert len(art.phase2_steps) == 2
+
     def test_deterministic(self, synth_small, baseline_small):
         delta = np.array([0.1, 0.0])
         a = phase2_fit(baseline_small, delta, synth_small, mini_phase2())
@@ -252,3 +473,17 @@ class TestArtifactSerialization:
         save_artifact(art, tmp_path / "art")
         blob = json.loads((tmp_path / "art" / "telemetry.json").read_text())
         assert set(blob) == {"phase1", "phase2"}
+
+    def test_reads_telemetry_without_hypergradient_counts(self, tmp_path, synth_small,
+                                                          baseline_small):
+        art = phase2_fit(baseline_small, np.zeros(2), synth_small, mini_phase2(steps=0))
+        save_artifact(art, tmp_path / "art")
+        path = tmp_path / "art" / "telemetry.json"
+        blob = json.loads(path.read_text())
+        for step in blob["phase2"]["steps"]:
+            for key in [k for k in step if k.startswith("hypergrad_")]:
+                del step[key]
+        path.write_text(json.dumps(blob))
+        again = load_artifact(tmp_path / "art")
+        assert again.phase2_steps[0].hypergrad_skipped == 0
+        assert again.phase2_steps[0].not_found == art.phase2_steps[0].not_found

@@ -91,6 +91,17 @@ class TestGradParams:
         fd = fd_param_grad(net, lambda n: n.squared_push_loss(X), h=1e-5)
         assert rel_err(g, fd, floor=1e-6) < 1e-5
 
+    def test_row_weights_sum_single_row_gradients(self):
+        rng = np.random.default_rng(10)
+        net = MlpClassifier([3, 4, 1], seed=2)
+        X = rng.normal(size=(4, 3))
+        w = rng.normal(size=4)
+        for grad in (net.grad_params_squared_push, net.grad_params_hinge_logit):
+            summed = sum(wi * grad(x[None]) for wi, x in zip(w, X))
+            for got, want in ((grad(X, weights=w), summed),
+                              (grad(X, weights=np.full(4, 0.25)), grad(X))):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_saturated_batch_has_tiny_gradient(self):
         ds = rl.make_synthetic(40, seed=0)
         trained = train_baseline(ds, steps=2500, seed=0, hidden=(8,), lr=0.05)
