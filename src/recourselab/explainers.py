@@ -4,6 +4,8 @@ Four objectives share one batched descent engine: a validity term pushing the
 model output past 0.5 plus a distance term.  The weight on the validity term
 escalates geometrically whenever a fixed-step search ends invalid, and a
 momentum fallback rescues searches that freeze at their starting point.
+Spare batch rows run a query's next escalation levels speculatively; each
+query keeps the first level that succeeds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ OBJECTIVE_KINDS = ("wachter", "sparse-wachter", "prototypes", "dice")
 INITIALIZER_KINDS = ("origin", "random-uniform", "positive-mean", "gaussian-jitter")
 
 RESULT_CSV_HEADER = ("index", "valid", "cost", "iterations", "lam", "initializer", "optimizer")
+
+# Rows one batched attempt aims to carry when speculating on λ levels.  At
+# desk scale a descent step costs about the same for 1 row as for 96, so
+# spare rows run the next escalation levels at little extra cost.
+SEARCH_ROWS = 96
 
 
 class ExplainError(RuntimeError):
@@ -207,12 +214,15 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
     """Value and gradient of the search objective for a batch of candidates.
 
     `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
+    `lam` is the validity weight (dice: `lam1`), a scalar or one per query;
+    each row's arithmetic is the same either way.
     Returns (grad like C, value per query, probability per candidate).
     The l1 pieces use the sign subgradient (0 at kinks).
     """
     n, k, d = C.shape
     flat = C.reshape(n * k, d)
     D = C - queries[:, None, :]
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
 
     if objective.kind == "dice":
         glog, probs, logits = model.grad_input_full(flat, wrt="logit")
@@ -229,7 +239,7 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
                  + (lam1 / k) * d_w.sum(axis=1)
                  - (lam2 / k ** 2) * pair_abs.sum(axis=(1, 2)) / 2.0)
         grad = (-active[:, :, None] * glog
-                + (lam1 / k) * np.sign(D) / mad
+                + (lam1 / k)[:, None, None] * np.sign(D) / mad
                 - (lam2 / k ** 2) * pair_sign.sum(axis=2))
         return grad, value, probs
 
@@ -238,7 +248,7 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
     probs = probs.reshape(n, k)
     p = probs[:, 0]
     push = lam * (p - 1.0) ** 2
-    gpush = (2.0 * lam) * (p - 1.0)[:, None, None] * gp
+    gpush = (2.0 * lam)[:, None, None] * (p - 1.0)[:, None, None] * gp
 
     if objective.kind == "wachter":
         dist = (np.abs(D) / mad).sum(axis=(1, 2))
@@ -383,7 +393,7 @@ def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget,
     if stalled.any():
         sub = np.flatnonzero(stalled)
         C2, probs2, _, trace2 = _descend(
-            model, queries[sub], starts[sub], lam, objective, mad, mutable, budget,
+            model, queries[sub], starts[sub], lam[sub], objective, mad, mutable, budget,
             "sgd-momentum", proto_pool, record_trace)
         C[sub] = C2
         probs[sub] = probs2
@@ -471,28 +481,40 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     attempts_of = {i: [] for i in pending}
     last_outcome: dict[int, tuple] = {}
 
-    for lam in schedule:
-        if not pending:
-            break
+    # Rounds of speculative escalation: each pending query gets its next
+    # `width` schedule levels as extra rows of one batched attempt, and keeps
+    # the first level that succeeds.  Attempts are independent restarts from
+    # the same start, so the outcome is the sequential schedule's.
+    level = 0
+    while pending and level < len(schedule):
+        width = min(len(schedule) - level,
+                    max(1, SEARCH_ROWS // (len(pending) * k)))
+        lams = schedule[level:level + width]
         sub = np.array(pending)
-        out = _run_attempt(model, queries[sub], starts[sub], lam, objective, mad,
-                           mutable, budget, proto_pool, record_trace)
-        iterations[sub] += out.steps_used
+        rows = np.repeat(sub, width)
+        out = _run_attempt(model, queries[rows], starts[rows],
+                           np.tile(lams, len(sub)), objective, mad, mutable,
+                           budget, proto_pool, record_trace)
         still = []
-        for local, i in enumerate(sub):
-            attempts_of[i].append(lam)
-            cand = out.candidates[local]
-            valid = out.probs[local] > 0.5
-            optimizer = "sgd-momentum-fallback" if out.fallback[local] else "adam"
-            success = valid.all() if is_dice else bool(valid[0])
-            last_outcome[i] = (cand, valid, optimizer, lam, out.traces[local])
-            if success:
-                results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
-                                     initializer, optimizer, iterations[i],
-                                     tuple(attempts_of[i]), is_dice, out.traces[local])
+        for q, i in enumerate(sub):
+            for j, lam in enumerate(lams):
+                r = q * width + j
+                iterations[i] += out.steps_used[r]
+                attempts_of[i].append(lam)
+                cand = out.candidates[r]
+                valid = out.probs[r] > 0.5
+                optimizer = "sgd-momentum-fallback" if out.fallback[r] else "adam"
+                success = valid.all() if is_dice else bool(valid[0])
+                if success:
+                    results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
+                                         initializer, optimizer, iterations[i],
+                                         tuple(attempts_of[i]), is_dice, out.traces[r])
+                    break
             else:
+                last_outcome[i] = (cand, valid, optimizer, lam, out.traces[r])
                 still.append(i)
         pending = still
+        level += width
 
     for i in pending:
         cand, valid, optimizer, lam, trace = last_outcome[i]

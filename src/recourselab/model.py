@@ -37,13 +37,15 @@ class TrainingDiverged(RuntimeError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+
+    Whole-array `where` rather than masked indexing, which costs more than
+    the arithmetic at search batch sizes.  `minimum(z, -z)` rather than
+    `-|z|` keeps even the sign of a nan that of the two formulas.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class MlpClassifier:

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The end-to-end manipulation (criterion 5) and its dependents share
-module-scoped fixtures; the whole module is single-threaded and fully
-seeded.
+module-scoped fixtures; the whole module is fully seeded.  Nothing pins
+the BLAS thread count.
 """
 
 import math

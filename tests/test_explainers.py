@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import recourselab as rl
+from recourselab import explainers
 from recourselab.explainers import (
-    CfObjective, ExplainError, Initializer, SearchBudget, _initial_candidates,
-    batch_explain, dice_loss, dist_prototype, dist_sparse, dist_wachter,
-    find_counterfactual, nearest_predicted_positive, results_to_csv, sensitivity_probe,
+    OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
+    _initial_candidates, _objective_grads, _predicted_positive_train, batch_explain,
+    dice_loss, dist_prototype, dist_sparse, dist_wachter, find_counterfactual,
+    nearest_predicted_positive, results_to_csv, sensitivity_probe,
 )
 
 from conftest import negative_test_rows
@@ -183,6 +185,209 @@ class TestFindCounterfactual:
         with pytest.raises(ExplainError):
             find_counterfactual(baseline_small, np.zeros(3), CfObjective("wachter"),
                                 synth_small)
+
+
+class TestObjectiveKernel:
+    """`_objective_grads` checked against finite differences and the scalar
+    distance functions, at candidates away from every kink."""
+
+    LAMS = np.array([0.5, 2.0, 8.0, 32.0])
+    MASKS = [None, (True, False)]
+
+    def _batch(self, kind, dataset, model):
+        k = 3 if kind == "dice" else 1
+        rng = np.random.default_rng(11)
+        queries = dataset.features[negative_test_rows(dataset, model)[:len(self.LAMS)]]
+        C = queries[:, None, :] + rng.uniform(0.2, 1.0, size=(len(queries), k, 2)) \
+            * rng.choice([-1.0, 1.0], size=(len(queries), k, 2))
+        # away from the l1 kinks (|c - x| and pairwise |c_a - c_b|) and the hinge
+        assert np.abs(C - queries[:, None, :]).min() > 0.1
+        if kind == "dice":
+            pairs = np.abs(C[:, :, None, :] - C[:, None, :, :])
+            assert pairs[:, ~np.eye(k, dtype=bool)].min() > 1e-3
+            assert np.abs(model.logits(C.reshape(-1, 2)) - 1.0).min() > 1e-3
+        return queries, C
+
+    def _kernel(self, kind, dataset, model, queries, C, lam, mask=None):
+        obj = CfObjective(kind, feature_mask=mask)
+        pool = _predicted_positive_train(model, dataset)
+        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool)
+
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_gradient_matches_central_differences(self, kind, mask, synth_small,
+                                                  baseline_small):
+        queries, C = self._batch(kind, synth_small, baseline_small)
+        grad, _, _ = self._kernel(kind, synth_small, baseline_small, queries, C,
+                                  self.LAMS, mask)
+        mutable = np.ones(2, bool) if mask is None else np.array(mask)
+        h = 1e-6
+        for slot in range(C.shape[1]):
+            for j in np.flatnonzero(mutable):
+                up, down = C.copy(), C.copy()
+                up[:, slot, j] += h
+                down[:, slot, j] -= h
+                _, v_up, _ = self._kernel(kind, synth_small, baseline_small, queries,
+                                          up, self.LAMS, mask)
+                _, v_down, _ = self._kernel(kind, synth_small, baseline_small, queries,
+                                            down, self.LAMS, mask)
+                fd = (v_up - v_down) / (2 * h)
+                np.testing.assert_allclose(grad[:, slot, j], fd, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_values_match_distance_functions(self, kind, synth_small, baseline_small):
+        queries, C = self._batch(kind, synth_small, baseline_small)
+        _, value, _ = self._kernel(kind, synth_small, baseline_small, queries, C, self.LAMS)
+        mad = synth_small.mad
+        for i, (x, lam) in enumerate(zip(queries, self.LAMS)):
+            c = C[i, 0]
+            push = lam * (baseline_small.forward(c) - 1.0) ** 2
+            if kind == "wachter":
+                expected = push + dist_wachter(x, c, mad)
+            elif kind == "sparse-wachter":
+                expected = push + dist_sparse(x, c)
+            elif kind == "prototypes":
+                proto = nearest_predicted_positive(baseline_small, synth_small, c)
+                expected = push + dist_prototype(x, c, proto, beta=1.0)
+            else:
+                expected = dice_loss(baseline_small, x, C[i], mad, lam1=lam, lam2=1.0)
+            assert value[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_per_row_lambda_equals_scalar_calls(self, kind, synth_small, baseline_small):
+        queries, C = self._batch(kind, synth_small, baseline_small)
+        out = self._kernel(kind, synth_small, baseline_small, queries, C, self.LAMS)
+        for i, lam in enumerate(self.LAMS):
+            ref = self._kernel(kind, synth_small, baseline_small, queries, C, float(lam))
+            for got, want in zip(out, ref):
+                assert got[i].tobytes() == want[i].tobytes()
+
+
+def _outcome(r):
+    return (r.found, r.valid, r.lam_attempts, r.iterations, r.final_lam, r.optimizer,
+            r.candidate_index)
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert _outcome(a) == _outcome(b)
+        if a.found:
+            np.testing.assert_allclose(a.x_cf, b.x_cf, rtol=1e-9, atol=1e-12)
+            assert a.cost == pytest.approx(b.cost, rel=1e-9, abs=1e-12)
+        for ta, tb in ((a.objective_trace, b.objective_trace), (a.candidates, b.candidates)):
+            assert (ta is None) == (tb is None)
+            if ta is not None:
+                np.testing.assert_allclose(ta, tb, rtol=1e-9, atol=1e-12)
+
+
+def _sequential(monkeypatch, search, *args, **kwargs):
+    """`search` with one λ level per attempt: the reference schedule."""
+    with monkeypatch.context() as m:
+        m.setattr(explainers, "SEARCH_ROWS", 1)
+        return search(*args, **kwargs)
+
+
+class TestSpeculativeEscalation:
+    """Running the next λ levels as extra rows gives each query the outcome of
+    the sequential schedule, up to rounding from the changed batch."""
+
+    BUDGET = SearchBudget(steps=60)
+
+    @pytest.mark.parametrize("init", ["origin", "random-uniform", "gaussian-jitter"])
+    @pytest.mark.parametrize("mask", [None, (True, False)])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_matches_sequential_schedule(self, kind, mask, init, monkeypatch,
+                                         synth_small, baseline_small):
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
+        args = (baseline_small, X, CfObjective(kind, feature_mask=mask), synth_small,
+                Initializer(init, seed=1), self.BUDGET)
+        got = batch_explain(*args).results
+        want = _sequential(monkeypatch, batch_explain, *args).results
+        assert max(len(r.lam_attempts) for r in want) > 1
+        _assert_same_results(got, want)
+
+    def test_schedule_exhaustion(self, monkeypatch, synth_small, baseline_small):
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
+        args = (baseline_small, X, CfObjective("wachter"), synth_small,
+                Initializer(), self.BUDGET)
+        got = batch_explain(*args).results
+        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        exhausted = [r for r in got if not r.found]
+        assert exhausted
+        assert all(len(r.lam_attempts) == self.BUDGET.max_doublings + 1 for r in exhausted)
+
+    def test_flat_model_fallback(self, monkeypatch, synth_small):
+        net = rl.MlpClassifier([2, 4, 1], seed=0)
+        net.set_flat(np.zeros(net.param_count))
+        budget = SearchBudget(steps=40, stall_window=10, max_doublings=6)
+        args = (net, synth_small.features[:3], CfObjective("wachter"), synth_small,
+                Initializer(), budget)
+        got = batch_explain(*args).results
+        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        for r in got:
+            assert not r.found and r.optimizer == "sgd-momentum-fallback"
+            assert r.iterations == 2 * budget.steps * (budget.max_doublings + 1)
+
+    def test_dice_partial_acceptance(self, monkeypatch, synth_small, baseline_small):
+        # a descent too short to move: candidates stay at their uniform starts,
+        # so queries end the schedule with some but not all candidates valid
+        budget = SearchBudget(steps=2, lr=1e-6, lam1_floor=1e-2)
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
+        args = (baseline_small, X, CfObjective("dice", k=4), synth_small,
+                Initializer("random-uniform", seed=3), budget)
+        got = batch_explain(*args).results
+        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        partial = [r for r in got if r.found and len(r.lam_attempts) == 4
+                   and not (baseline_small.forward(r.candidates) > 0.5).all()]
+        assert partial
+
+    def test_record_trace(self, monkeypatch, synth_small, baseline_small):
+        x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
+        args = (baseline_small, x, CfObjective("wachter"), synth_small, Initializer(),
+                self.BUDGET)
+        got = find_counterfactual(*args, record_trace=True)
+        want = _sequential(monkeypatch, find_counterfactual, *args, record_trace=True)
+        assert len(want.lam_attempts) > 1
+        assert got.objective_trace.shape == (self.BUDGET.steps + 1,)
+        _assert_same_results([got], [want])
+
+    def test_attempt_rows_follow_their_own_lambda(self):
+        # logistic net: the query at -800 sits where the sigmoid underflows,
+        # so its gradient is exactly zero and its rows take the fallback
+        net = rl.MlpClassifier([1, 1], seed=0)
+        net.set_flat(np.array([1.0, 0.0]))
+        queries = np.array([[-800.0], [0.1], [-800.0], [0.1]])
+        lams = np.array([1.0, 2.0, 4.0, 8.0])
+        budget = SearchBudget(steps=30, stall_window=10)
+        args = (CfObjective("wachter"), np.ones(1), np.ones(1, bool), budget, None, True)
+        out = explainers._run_attempt(net, queries, queries[:, None, :], lams, *args)
+        assert list(out.fallback) == [True, False, True, False]
+        for r in range(len(lams)):
+            one = explainers._run_attempt(net, queries[r:r + 1], queries[r:r + 1, None, :],
+                                          lams[r:r + 1], *args)
+            assert out.steps_used[r] == one.steps_used[0]
+            np.testing.assert_allclose(out.candidates[r], one.candidates[0], rtol=1e-12)
+            np.testing.assert_allclose(out.traces[r], one.traces[0], rtol=1e-12)
+
+    def test_one_round_of_kernel_calls_for_single_query(self, monkeypatch, synth_small,
+                                                         baseline_small):
+        x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2].shape[0])
+            return _objective_grads(*args)
+
+        monkeypatch.setattr(explainers, "_objective_grads", counting)
+        args = (baseline_small, x, CfObjective("wachter"), synth_small, Initializer(),
+                self.BUDGET)
+        want = _sequential(monkeypatch, find_counterfactual, *args)
+        assert len(want.lam_attempts) > 2 and want.optimizer == "adam"
+        assert len(calls) == len(want.lam_attempts) * (self.BUDGET.steps + 1)
+        calls.clear()
+        find_counterfactual(*args)
+        assert len(calls) <= self.BUDGET.steps + 1
 
 
 class TestValidityContract:

@@ -281,3 +281,25 @@ def test_sigmoid_stable():
     assert sigmoid(np.array([800.0]))[0] == 1.0
     assert sigmoid(np.array([-800.0]))[0] == 0.0
     assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+def _sigmoid_two_formulas(z):
+    """The masked two-branch form `sigmoid` replaced, kept as its reference."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 800.0])
+def test_sigmoid_matches_two_formulas_bitwise(scale):
+    z = np.random.default_rng(int(scale)).standard_normal(5000) * scale
+    assert sigmoid(z).tobytes() == _sigmoid_two_formulas(z).tobytes()
+
+
+def test_sigmoid_matches_two_formulas_on_special_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    assert sigmoid(z).tobytes() == _sigmoid_two_formulas(z).tobytes()
