@@ -221,7 +221,7 @@ def batch_hypergradient(model: MlpClassifier, origins, queries, results,
                if r.found and not r.query_was_valid]
     proto_pool = None
     if objective.kind == "prototypes" and pending:
-        proto_pool = explainers._predicted_positive_train(model, dataset)
+        proto_pool = explainers._prototype_pool(model, dataset)
     rows, weights = [np.empty((0, dataset.d))], [np.empty(0)]
     for origin, query, r in pending:
         dice = ({"dice_candidates": r.candidates, "dice_index": r.candidate_index}

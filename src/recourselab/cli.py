@@ -225,6 +225,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"explainer.initializer: unknown kind {ex.initializer!r}")
     if ex.steps < 1 or ex.lr <= 0:
         raise ConfigError("explainer.steps/lr: must be positive")
+    lam1_floor = explainers.SearchBudget().lam1_floor
+    if ex.kind == "dice" and ex.lam1 < lam1_floor:
+        raise ConfigError(f"explainer.lam1: dice escalation divides lam1 by 10 down to "
+                          f"{lam1_floor:g}, so it must be at least that")
     if ex.mask_size is not None and ex.mask_size < 1:
         raise ConfigError("explainer.mask_size: must be positive when set")
     tr = config.training
@@ -552,7 +556,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data.DataError, data.SchemaError, FileNotFoundError,
+    except (data.DataError, data.SchemaError, FileNotFoundError, explainers.ExplainError,
             adversary.Phase2Aborted, model_mod.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -189,9 +189,7 @@ def nearest_predicted_positive(model, dataset, points: np.ndarray) -> np.ndarray
 
     Brute force; ties break toward the lowest train-row index.
     """
-    positives = _predicted_positive_train(model, dataset)
-    idx = _nearest_rows(np.atleast_2d(points), positives)
-    chosen = positives[idx]
+    chosen = _nearest_prototypes(np.atleast_2d(points), _prototype_pool(model, dataset))
     return chosen[0] if np.asarray(points).ndim == 1 else chosen
 
 
@@ -203,68 +201,101 @@ def _predicted_positive_train(model, dataset) -> np.ndarray:
     return pos
 
 
-def _nearest_rows(points: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    sq = (points ** 2).sum(axis=1)[:, None] - 2.0 * points @ pool.T + (pool ** 2).sum(axis=1)
-    return np.argmin(sq, axis=1)
+def _prototype_pool(model, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The positively predicted train rows and their squared norms, computed
+    once for every nearest-row lookup of a search."""
+    pool = _predicted_positive_train(model, dataset)
+    return pool, (pool ** 2).sum(axis=1)
+
+
+def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
+    pool, pool_sq = proto_pool
+    sq = (points ** 2).sum(axis=1)[:, None] - 2.0 * points @ pool.T + pool_sq
+    return pool[np.argmin(sq, axis=1)]
 
 
 # -- objective value/gradient kernels --------------------------------------------
 
-def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
-    """Value and gradient of the search objective for a batch of candidates.
+def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
+                     with_value=True):
+    """Gradient, and value if `with_value`, of the search objective for a
+    batch of candidates.
 
     `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
     `lam` is the validity weight (dice: `lam1`), a scalar or one per query;
-    each row's arithmetic is the same either way.
-    Returns (grad like C, value per query, probability per candidate).
-    The l1 pieces use the sign subgradient (0 at kinks).
+    each row's arithmetic is the same either way.  `proto_pool` is
+    `_prototype_pool`'s pair (prototypes only).
+    Returns (grad like C, value per query or None, probability per candidate).
+    The l1 pieces use the sign subgradient (0 at kinks).  The gradient's
+    arithmetic does not depend on `with_value`.
     """
     n, k, d = C.shape
     flat = C.reshape(n * k, d)
     D = C - queries[:, None, :]
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,):
+        lam = np.broadcast_to(lam, (n,))
+    value = None
 
     if objective.kind == "dice":
         glog, probs, logits = model.grad_input_full(flat, wrt="logit")
-        glog = glog.reshape(n, k, d)
+        grad = glog.reshape(n, k, d)
         probs = probs.reshape(n, k)
         logits = logits.reshape(n, k)
-        hinge = np.maximum(0.0, 1.0 - logits)
-        active = (logits < 1.0).astype(float)
-        d_w = (np.abs(D) / mad).sum(axis=2)
-        pair_abs = (np.abs(C[:, :, None, :] - C[:, None, :, :]) / mad).sum(axis=3)
-        pair_sign = np.sign(C[:, :, None, :] - C[:, None, :, :]) / mad
         lam1, lam2 = lam, objective.lam2
-        value = (hinge.sum(axis=1)
-                 + (lam1 / k) * d_w.sum(axis=1)
-                 - (lam2 / k ** 2) * pair_abs.sum(axis=(1, 2)) / 2.0)
-        grad = (-active[:, :, None] * glog
-                + (lam1 / k)[:, None, None] * np.sign(D) / mad
-                - (lam2 / k ** 2) * pair_sign.sum(axis=2))
+        pair = C[:, :, None, :] - C[:, None, :, :]
+        if with_value:
+            hinge = np.maximum(0.0, 1.0 - logits)
+            d_w = (np.abs(D) / mad).sum(axis=2)
+            pair_abs = (np.abs(pair) / mad).sum(axis=3)
+            value = (hinge.sum(axis=1)
+                     + (lam1 / k) * d_w.sum(axis=1)
+                     - (lam2 / k ** 2) * pair_abs.sum(axis=(1, 2)) / 2.0)
+        # -active * glog + (lam1 / k) * sign(D) / mad - (lam2 / k^2) * sum_b pair_sign
+        grad *= -(logits < 1.0).astype(float)[:, :, None]
+        prox = np.sign(D)
+        prox *= (lam1 / k)[:, None, None]
+        prox /= mad
+        grad += prox
+        pair_sign = np.sign(pair, out=pair)
+        pair_sign /= mad
+        div = pair_sign.sum(axis=2)
+        div *= lam2 / k ** 2
+        grad -= div
         return grad, value, probs
 
-    gp, probs, _ = model.grad_input_full(flat, wrt="prob")
-    gp = gp.reshape(n, k, d)
+    grad, probs, _ = model.grad_input_full(flat, wrt="prob")
+    grad = grad.reshape(n, k, d)
     probs = probs.reshape(n, k)
     p = probs[:, 0]
-    push = lam * (p - 1.0) ** 2
-    gpush = (2.0 * lam)[:, None, None] * (p - 1.0)[:, None, None] * gp
+    pm1 = p - 1.0
+    grad *= ((2.0 * lam) * pm1)[:, None, None]          # gradient of the push
 
     if objective.kind == "wachter":
-        dist = (np.abs(D) / mad).sum(axis=(1, 2))
-        gdist = np.sign(D) / mad
+        if with_value:
+            dist = (np.abs(D) / mad).sum(axis=(1, 2))
+        gdist = np.sign(D)
+        gdist /= mad
     elif objective.kind == "sparse-wachter":
-        dist = np.abs(D).sum(axis=(1, 2)) + (D ** 2).sum(axis=(1, 2))
-        gdist = np.sign(D) + 2.0 * D
+        if with_value:
+            dist = np.abs(D).sum(axis=(1, 2)) + (D ** 2).sum(axis=(1, 2))
+        gdist = np.sign(D)
+        gdist += 2.0 * D
     elif objective.kind == "prototypes":
-        protos = proto_pool[_nearest_rows(flat, proto_pool)].reshape(n, k, d)
-        PD = C - protos
-        dist = (objective.beta * np.abs(D).sum(axis=2) + (D ** 2).sum(axis=2)
-                + (PD ** 2).sum(axis=2))[:, 0]
-        gdist = objective.beta * np.sign(D) + 2.0 * D + 2.0 * PD
+        PD = C - _nearest_prototypes(flat, proto_pool).reshape(n, k, d)
+        if with_value:
+            dist = (objective.beta * np.abs(D).sum(axis=2) + (D ** 2).sum(axis=2)
+                    + (PD ** 2).sum(axis=2))[:, 0]
+        gdist = np.sign(D)
+        gdist *= objective.beta
+        gdist += 2.0 * D
+        gdist += 2.0 * PD
     else:  # pragma: no cover
         raise ValueError(objective.kind)
-    return gpush + gdist, push + dist, probs
+    grad += gdist
+    if with_value:
+        value = lam * pm1 ** 2 + dist
+    return grad, value, probs
 
 
 def objective_value(model, query, candidate, objective, dataset, lam=None,
@@ -281,8 +312,8 @@ def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
 
     One kernel call for all rows.  Each row stands in for the selected
     candidate; for dice that is slot `dice_index` of `dice_candidates`, the
-    other candidates held fixed.  `proto_pool` defaults to the positively
-    predicted train rows.  Returns (gradients (n, d), values (n,)).
+    other candidates held fixed.  `proto_pool` defaults to
+    `_prototype_pool(model, dataset)`.  Returns (gradients (n, d), values (n,)).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -295,7 +326,7 @@ def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
     else:
         C = points[:, None, :]
     if objective.kind == "prototypes" and proto_pool is None:
-        proto_pool = _predicted_positive_train(model, dataset)
+        proto_pool = _prototype_pool(model, dataset)
     grad, value, _ = _objective_grads(model, queries, C, _lam_of(objective, lam),
                                       objective, dataset.mad, proto_pool)
     return grad[:, slot], value
@@ -363,17 +394,22 @@ def _descend(model, queries, starts, lam, objective, mad, mutable, budget,
     else:
         state, step_fn = MomentumState(lr=budget.lr, momentum=budget.momentum), sgd_momentum_step
     trace = np.empty((budget.steps + 1, n)) if record_trace else None
+    frozen = None if mutable.all() else ~mutable
     stalled = np.zeros(n, dtype=bool)
+    # Objective values are computed only for the trace.
     for step in range(budget.steps):
-        grad, value, _ = _objective_grads(model, queries, C, lam, objective, mad, proto_pool)
+        grad, value, _ = _objective_grads(model, queries, C, lam, objective, mad,
+                                          proto_pool, record_trace)
         if record_trace:
             trace[step] = value
-        grad[:, :, ~mutable] = 0.0
+        if frozen is not None:
+            grad[:, :, frozen] = 0.0
         C = step_fn(state, C, grad)
         if optimizer == "adam" and step + 1 == budget.stall_window:
             moved = np.abs(C - starts).reshape(n, -1).max(axis=1)
             stalled = moved < budget.stall_tol
-    _, value, probs = _objective_grads(model, queries, C, lam, objective, mad, proto_pool)
+    _, value, probs = _objective_grads(model, queries, C, lam, objective, mad,
+                                       proto_pool, record_trace)
     if record_trace:
         trace[-1] = value
     return C, probs, stalled, trace
@@ -454,16 +490,19 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
+    schedule = _lam_schedule(objective, budget)
+    if not schedule:
+        raise ExplainError(f"dice lam1 = {objective.lam1:g} is below the search budget's "
+                           f"lam1_floor = {budget.lam1_floor:g}: no escalation level to run")
     mad = dataset.mad
     is_dice = objective.kind == "dice"
     k = objective.k if is_dice else 1
-    proto_pool = (_predicted_positive_train(model, dataset)
+    proto_pool = (_prototype_pool(model, dataset)
                   if objective.kind == "prototypes" else None)
     starts = _initial_candidates(initializer, queries, k, model, dataset, mutable)
 
     results: list[CfResult | None] = [None] * n
     iterations = np.zeros(n, dtype=int)
-    schedule = _lam_schedule(objective, budget)
 
     if initializer.kind == "origin":
         # A query the model already accepts needs no change: the zero-cost

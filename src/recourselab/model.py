@@ -45,7 +45,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    q = 1.0 + e
+    return np.where(z >= 0, 1.0 / q, e / q)
+
+
+def _clip_prob(p: np.ndarray) -> np.ndarray:
+    """`np.clip(p, PROB_CLIP, 1 - PROB_CLIP)` written into `p`: the same
+    maximum-then-minimum, nan kept, without `np.clip`'s call overhead."""
+    np.maximum(p, PROB_CLIP, out=p)
+    return np.minimum(p, 1.0 - PROB_CLIP, out=p)
 
 
 class MlpClassifier:
@@ -120,11 +128,14 @@ class MlpClassifier:
             raise ValueError(f"expected (n, {self.d}) inputs, got {a.shape}")
         acts = [a]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.tanh(a @ w + b)
+            a = a @ w
+            a += b
+            np.tanh(a, out=a)
             if check and not np.isfinite(a).all():
                 raise NumericError(i)
             acts.append(a)
-        z = a @ self.weights[-1] + self.biases[-1]
+        z = a @ self.weights[-1]
+        z += self.biases[-1]
         if check and not np.isfinite(z).all():
             raise NumericError(len(self.weights) - 1)
         return acts, z[:, 0]
@@ -138,7 +149,7 @@ class MlpClassifier:
         """Positive-class probability, clipped to the open interval (0, 1)."""
         X, single = self._as_batch(x)
         _, z = self._forward(X)
-        p = np.clip(sigmoid(z), PROB_CLIP, 1.0 - PROB_CLIP)
+        p = _clip_prob(sigmoid(z))
         return float(p[0]) if single else p
 
     def logits(self, x):
@@ -166,9 +177,12 @@ class MlpClassifier:
         else:
             raise ValueError(f"unknown wrt {wrt!r}")
         for i in range(len(self.weights) - 1, 0, -1):
-            g = (g @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+            g = g @ self.weights[i].T
+            # 1 - a^2 overwrites the hidden activation, which nothing reads after
+            da = np.square(acts[i], out=acts[i])
+            g *= np.subtract(1.0, da, out=da)
         g = g @ self.weights[0].T
-        return g, np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP), z
+        return g, _clip_prob(p), z
 
     def grad_input(self, x, wrt: str = "prob"):
         X, single = self._as_batch(x)
@@ -258,7 +272,11 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected update; works on arrays of any shape."""
+    """One bias-corrected update; works on arrays of any shape.
+
+    Updates `state.m` and `state.v` in place and returns new parameters;
+    `params` and `grad` are not written.
+    """
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
@@ -267,11 +285,20 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad ** 2
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # Each product and sum in the textbook formulas' order: the same bits.
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    g2 = np.square(grad)
+    g2 *= 1.0 - state.beta2
+    state.v *= state.beta2
+    state.v += g2
+    update = state.m / (1.0 - state.beta1 ** state.step)       # m_hat
+    update *= state.lr
+    denom = state.v / (1.0 - state.beta2 ** state.step)        # v_hat
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update /= denom
+    return np.subtract(params, update, out=update)
 
 
 @dataclass
@@ -283,6 +310,8 @@ class MomentumState:
 
 
 def sgd_momentum_step(state: MomentumState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Heavy-ball update; `state.velocity` changes in place, `params` and
+    `grad` are not written."""
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
@@ -290,8 +319,10 @@ def sgd_momentum_step(state: MomentumState, params: np.ndarray, grad: np.ndarray
     if state.velocity is None:
         state.velocity = np.zeros_like(params)
     state.step += 1
-    state.velocity = state.momentum * state.velocity + grad
-    return params - state.lr * state.velocity
+    state.velocity *= state.momentum
+    state.velocity += grad
+    update = state.lr * state.velocity
+    return np.subtract(params, update, out=update)
 
 
 # -- training -----------------------------------------------------------------

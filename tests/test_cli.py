@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import recourselab.cli as cli
+from recourselab import explainers, model as model_mod
 from recourselab.cli import ConfigError, config_hash, load_config, main, parse_config
 
 
@@ -55,6 +56,14 @@ class TestConfigParsing:
     def test_bad_explainer_kind(self):
         with pytest.raises(ConfigError, match="explainer.kind"):
             parse_config({"explainer": {"kind": "magic"}})
+
+    def test_dice_lam1_below_floor_names_field(self):
+        floor = explainers.SearchBudget().lam1_floor
+        with pytest.raises(ConfigError, match="explainer.lam1"):
+            parse_config({"explainer": {"kind": "dice", "lam1": floor / 10}})
+        assert parse_config({"explainer": {"kind": "dice", "lam1": floor}}).explainer.lam1 == floor
+        # lam1 only weighs the dice objective
+        parse_config({"explainer": {"kind": "wachter", "lam1": floor / 10}})
 
     def test_defaults_mirror_reference_protocol(self):
         config = parse_config({})
@@ -168,6 +177,23 @@ class TestExplainCommand:
         assert payload["index"] == 0
         assert set(payload) >= {"x", "x_cf", "valid", "cost", "iterations",
                                 "lam", "initializer", "optimizer"}
+
+    def test_explain_error_is_error_exit_1(self, tmp_path, capsys):
+        # a model that accepts no training point leaves prototypes no pool
+        blob = tiny_config(explain_index=0)
+        blob["explainer"]["kind"] = "prototypes"
+        cfg = write_config(tmp_path, blob)
+        d = cli.build_dataset(load_config(cfg)).d
+        net = model_mod.MlpClassifier([d, 1], seed=0)
+        net.set_flat(np.concatenate([np.zeros(d), [-5.0]]))
+        model_path = tmp_path / "rejects_all.npz"
+        model_mod.save_model(net, model_path)
+        code = main(["explain", "--config", cfg, "--model", str(model_path),
+                     "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positively predicted" in err
+        assert "Traceback" not in err
 
     def test_missing_index_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_config())

@@ -7,7 +7,7 @@ import recourselab as rl
 from recourselab import explainers
 from recourselab.explainers import (
     OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
-    _initial_candidates, _objective_grads, _predicted_positive_train, batch_explain,
+    _initial_candidates, _objective_grads, _prototype_pool, batch_explain,
     dice_loss, dist_prototype, dist_sparse, dist_wachter, find_counterfactual,
     nearest_predicted_positive, results_to_csv, sensitivity_probe,
 )
@@ -208,18 +208,34 @@ class TestObjectiveKernel:
             assert np.abs(model.logits(C.reshape(-1, 2)) - 1.0).min() > 1e-3
         return queries, C
 
-    def _kernel(self, kind, dataset, model, queries, C, lam, mask=None):
+    def _kernel(self, kind, dataset, model, queries, C, lam, mask=None, with_value=True):
         obj = CfObjective(kind, feature_mask=mask)
-        pool = _predicted_positive_train(model, dataset)
-        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool)
+        pool = _prototype_pool(model, dataset)
+        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool, with_value)
 
     @pytest.mark.parametrize("mask", MASKS)
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_gradient_matches_central_differences(self, kind, mask, synth_small,
                                                   baseline_small):
         queries, C = self._batch(kind, synth_small, baseline_small)
-        grad, _, _ = self._kernel(kind, synth_small, baseline_small, queries, C,
-                                  self.LAMS, mask)
+        grad, _, probs = self._kernel(kind, synth_small, baseline_small, queries, C,
+                                      self.LAMS, mask)
+        # the gradient-only path (a search step that is not tracing) skips
+        # the value and changes no bit of the gradient
+        lean_grad, lean_value, lean_probs = self._kernel(
+            kind, synth_small, baseline_small, queries, C, self.LAMS, mask, with_value=False)
+        assert lean_value is None
+        assert lean_grad.tobytes() == grad.tobytes()
+        assert lean_probs.tobytes() == probs.tobytes()
+        obj = CfObjective(kind, feature_mask=mask)
+        init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
+        traced, plain = (find_counterfactual(baseline_small, queries[0], obj, synth_small,
+                                             init, SearchBudget(steps=60), record_trace=trace)
+                         for trace in (True, False))
+        assert traced.objective_trace is not None and plain.objective_trace is None
+        assert traced.x_cf.tobytes() == plain.x_cf.tobytes()
+        assert (traced.iterations, traced.lam_attempts, traced.final_lam) == \
+            (plain.iterations, plain.lam_attempts, plain.final_lam)
         mutable = np.ones(2, bool) if mask is None else np.array(mask)
         h = 1e-6
         for slot in range(C.shape[1]):
@@ -388,6 +404,24 @@ class TestSpeculativeEscalation:
         calls.clear()
         find_counterfactual(*args)
         assert len(calls) <= self.BUDGET.steps + 1
+
+
+@pytest.mark.parametrize("origin_valid", [False, True])
+def test_empty_dice_schedule_is_explain_error(origin_valid, monkeypatch, synth_small,
+                                              baseline_small):
+    # lam1 below the floor leaves no escalation level: a rejected query used
+    # to raise KeyError and an accepted one IndexError
+    accepted = [i for i in synth_small.test_idx
+                if baseline_small.forward(synth_small.features[i]) > 0.5]
+    row = accepted[0] if origin_valid else negative_test_rows(synth_small, baseline_small)[0]
+
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(explainers, "_objective_grads", no_search)
+    with pytest.raises(ExplainError, match="lam1.*lam1_floor"):
+        find_counterfactual(baseline_small, synth_small.features[row],
+                            CfObjective("dice", lam1=1e-4), synth_small)
 
 
 class TestValidityContract:

@@ -3,8 +3,8 @@ import pytest
 
 import recourselab as rl
 from recourselab.model import (
-    AdamState, MlpClassifier, MomentumState, TrainingDiverged, accuracy, adam_step,
-    load_model, save_model, sgd_momentum_step, sigmoid, train_baseline,
+    PROB_CLIP, AdamState, MlpClassifier, MomentumState, TrainingDiverged, accuracy,
+    adam_step, load_model, save_model, sgd_momentum_step, sigmoid, train_baseline,
 )
 
 
@@ -218,6 +218,81 @@ class TestOptimizers:
         b = train_baseline(ds, steps=30, seed=7, hidden=(6,))
         assert a.model.flatten().tobytes() == b.model.flatten().tobytes()
         assert a.loss_trace.tobytes() == b.loss_trace.tobytes()
+
+
+class TestInPlaceKernelsBitIdentical:
+    """The in-place network and optimizer kernels against the textbook
+    out-of-place formulas: equal to the bit, and their arguments untouched."""
+
+    def _textbook_forward(self, net, X):
+        acts, a = [X], X
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = np.tanh(a @ w + b)
+            acts.append(a)
+        z = (a @ net.weights[-1] + net.biases[-1])[:, 0]
+        return acts, z
+
+    def test_forward_and_input_gradient(self):
+        rng = np.random.default_rng(5)
+        net = MlpClassifier([3, 16, 8, 1], seed=2)
+        for scale in (0.5, 3.0, 30.0):
+            X = rng.normal(size=(40, 3)) * scale
+            X_before = X.copy()
+            acts, z = self._textbook_forward(net, X)
+            p = _sigmoid_two_formulas(z)
+            clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+            assert np.array_equal(net.forward(X), clipped)
+            assert np.array_equal(net.logits(X), z)
+            for wrt, g0 in (("prob", (p * (1.0 - p))[:, None]), ("logit", np.ones((40, 1)))):
+                g = g0
+                for i in range(len(net.weights) - 1, 0, -1):
+                    g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+                g = g @ net.weights[0].T
+                got_g, got_p, got_z = net.grad_input_full(X, wrt=wrt)
+                assert np.array_equal(got_g, g)
+                assert np.array_equal(got_p, clipped)
+                assert np.array_equal(got_z, z)
+            assert np.array_equal(X, X_before)
+
+    def test_adam_steps(self):
+        rng = np.random.default_rng(6)
+        state, ref = AdamState(lr=0.05), AdamState(lr=0.05)
+        params = rng.normal(size=(12, 3, 2))
+        ref_params = params.copy()
+        for _ in range(6):
+            grad = rng.normal(size=params.shape) * rng.choice([1e-6, 1.0, 1e3])
+            params_before, grad_before = params.copy(), grad.copy()
+            new = adam_step(state, params, grad)
+            assert np.array_equal(params, params_before)
+            assert np.array_equal(grad, grad_before)
+            if ref.m is None:
+                ref.m, ref.v = np.zeros_like(ref_params), np.zeros_like(ref_params)
+            ref.step += 1
+            ref.m = ref.beta1 * ref.m + (1.0 - ref.beta1) * grad
+            ref.v = ref.beta2 * ref.v + (1.0 - ref.beta2) * grad ** 2
+            m_hat = ref.m / (1.0 - ref.beta1 ** ref.step)
+            v_hat = ref.v / (1.0 - ref.beta2 ** ref.step)
+            ref_params = ref_params - ref.lr * m_hat / (np.sqrt(v_hat) + ref.eps)
+            assert np.array_equal(new, ref_params)
+            assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+            params = new
+
+    def test_momentum_steps(self):
+        rng = np.random.default_rng(7)
+        state = MomentumState(lr=0.05, momentum=0.9)
+        params = rng.normal(size=(12, 3, 2))
+        ref_params, velocity = params.copy(), np.zeros_like(params)
+        for _ in range(6):
+            grad = rng.normal(size=params.shape)
+            params_before, grad_before = params.copy(), grad.copy()
+            new = sgd_momentum_step(state, params, grad)
+            assert np.array_equal(params, params_before)
+            assert np.array_equal(grad, grad_before)
+            velocity = 0.9 * velocity + grad
+            ref_params = ref_params - 0.05 * velocity
+            assert np.array_equal(new, ref_params)
+            assert np.array_equal(state.velocity, velocity)
+            params = new
 
 
 class TestTrainBaseline:
