@@ -278,8 +278,8 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
     """
     x = np.asarray(x, dtype=float)
     query = x if delta is None else x + np.asarray(delta, dtype=float)
-    term = _batch_term_grads(model, x[None, :], query[None, :], objective, dataset,
-                             initializer, budget, mode)
+    term, = _search_terms(model, [(x[None, :], query[None, :])], objective, dataset,
+                          initializer, budget, mode)
     result = term.results[0]
     return TermGrad(grad=term.grad, found=result.found, cost=result.cost, result=result,
                     skipped=term.counts.skipped > 0)
@@ -297,16 +297,28 @@ class _BatchTerm:
         return sum(1 for r in self.results if not r.found)
 
 
-def _batch_term_grads(model, origins, queries, objective, dataset, initializer,
-                      budget, mode) -> _BatchTerm:
-    """Search a batch and chain the found counterfactuals through the implicit step."""
-    batch = explainers.batch_explain(model, queries, objective, dataset,
-                                     initializer, budget, cost_reference=origins)
-    grad, counts = batch_hypergradient(model, origins, queries, batch.results, objective,
-                                       dataset, mode)
-    costs = [r.cost for r in batch.results if r.found]
-    mean_cost = float(np.mean(costs)) if costs else float("nan")
-    return _BatchTerm(results=batch.results, mean_cost=mean_cost, grad=grad, counts=counts)
+def _search_terms(model, conditions, objective, dataset, initializer, budget,
+                  mode) -> list[_BatchTerm]:
+    """Search every condition in one batch, then chain each condition's found
+    counterfactuals through the implicit step.
+
+    `conditions` is a list of (origins, queries) pairs; each is one segment
+    of the batch, so it draws its starts as a search of its own would, and
+    its costs are measured from its origins.
+    """
+    segments = tuple(len(queries) for _, queries in conditions)
+    origins = np.concatenate([o for o, _ in conditions])
+    queries = np.concatenate([q for _, q in conditions])
+    batch = explainers.batch_explain(model, queries, objective, dataset, initializer,
+                                     budget, cost_reference=origins, segments=segments)
+    terms = []
+    for s, part in zip(explainers.segment_slices(segments, len(queries)),
+                       batch.split(segments)):
+        grad, counts = batch_hypergradient(model, origins[s], queries[s], part.results,
+                                           objective, dataset, mode)
+        terms.append(_BatchTerm(results=part.results, mean_cost=part.mean_cost, grad=grad,
+                                counts=counts))
+    return terms
 
 
 # -- phase one -------------------------------------------------------------------
@@ -422,7 +434,7 @@ class Phase2Step:
     objective: float
     constraint_ok: bool
     not_found: int
-    # the implicit step over the step's three batches (absent from older
+    # the implicit step over the step's three conditions (absent from older
     # telemetry files, hence the defaults)
     hypergrad_full_inverse: int = 0
     hypergrad_diagonal: int = 0
@@ -450,7 +462,8 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     """Parameter-only refinement against the audit metrics.
 
     Each step searches a fixed audit subsample three ways (protected clean,
-    non-protected clean, non-protected perturbed), descends on
+    non-protected clean, non-protected perturbed) in one batch, the three
+    conditions drawing their starts as separate searches would, descends on
     bce + E[np perturbed cost] + (clean disparity)^2, and keeps the best
     iterate that satisfies the perturbed-cheaper-than-protected constraint.
     The perturbation is never modified here.
@@ -478,10 +491,10 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     constraint_ever = False
 
     for step in range(config.steps + 1):
-        terms = [_batch_term_grads(net, origins, queries, config.objective, dataset,
-                                   config.initializer, config.budget, config.jacobian_mode)
-                 for origins, queries in ((np_, np_ + delta), (np_, np_), (pr, pr))]
-        np_delta, np_clean, pr_clean = terms
+        terms = _search_terms(net, [(pr, pr), (np_, np_), (np_, np_ + delta)],
+                              config.objective, dataset, config.initializer,
+                              config.budget, config.jacobian_mode)
+        pr_clean, np_clean, np_delta = terms
         np_delta_cost = np_delta.mean_cost
         np_clean_cost = np_clean.mean_cost
         pr_clean_cost = pr_clean.mean_cost

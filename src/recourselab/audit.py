@@ -147,24 +147,24 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
               lof: bool = True, return_details: bool = False):
     """Definition-style audit on the test split.
 
-    Three search batches on model-predicted negatives: protected clean,
+    Three conditions on model-predicted negatives: protected clean,
     non-protected clean, and non-protected with the perturbation added to the
-    query (costs still measured from the clean points).  `delta=None` audits
-    a plain model (zero perturbation).  Inputs are never mutated.
+    query (costs still measured from the clean points).  They are searched
+    as three segments of one batch, each drawing its starts as a search of
+    its own would, so the two non-protected conditions share theirs.
+    `delta=None` audits a plain model (zero perturbation).  Inputs are never
+    mutated.
     """
     slices = dataset.group_slices(model, split="test")
     pr = dataset.features[slices["protected-neg"].indices]
     np_ = dataset.features[slices["nonprotected-neg"].indices]
     dvec = np.zeros(dataset.d) if delta is None else np.asarray(delta, dtype=float)
 
-    runs: dict[str, explainers.BatchExplainResult] = {}
-    runs["protected"] = explainers.batch_explain(
-        model, pr, objective, dataset, initializer, budget)
-    runs["nonprotected"] = explainers.batch_explain(
-        model, np_, objective, dataset, initializer, budget)
-    runs["nonprotected_delta"] = explainers.batch_explain(
-        model, np_ + dvec, objective, dataset, initializer, budget,
-        cost_reference=np_ if np_.shape[0] else None)
+    segments = (pr.shape[0], np_.shape[0], np_.shape[0])
+    batch = explainers.batch_explain(
+        model, np.concatenate([pr, np_, np_ + dvec]), objective, dataset, initializer,
+        budget, cost_reference=np.concatenate([pr, np_, np_]), segments=segments)
+    runs = dict(zip(CONDITIONS, batch.split(segments)))
 
     costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
     disp = disparity(costs["protected"], costs["nonprotected"])

@@ -5,7 +5,10 @@ model output past 0.5 plus a distance term.  The weight on the validity term
 escalates geometrically whenever a fixed-step search ends invalid, and a
 momentum fallback rescues searches that freeze at their starting point.
 Spare batch rows run a query's next escalation levels speculatively; each
-query keeps the first level that succeeds.
+query keeps the first level that succeeds.  One batch can carry several
+searches as segments of rows, each with its own cost reference per row and
+its own initializer draws: an audit and a phase-2 evaluation search their
+three conditions (protected, non-protected, non-protected + δ) in one call.
 """
 
 from __future__ import annotations
@@ -132,6 +135,18 @@ class BatchExplainResult:
     @property
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.results if r.valid])
+
+    def split(self, segments) -> list["BatchExplainResult"]:
+        """One summary per segment of the results (see `segment_slices`)."""
+        return [_summarize(self.results[s])
+                for s in segment_slices(segments, len(self.results))]
+
+
+def _summarize(results: list[CfResult]) -> BatchExplainResult:
+    costs = [r.cost for r in results if r.valid]
+    return BatchExplainResult(results=results,
+                              mean_cost=float(np.mean(costs)) if costs else float("nan"),
+                              not_found=sum(1 for r in results if not r.found))
 
 
 # -- distance functions ---------------------------------------------------------
@@ -298,14 +313,6 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
     return grad, value, probs
 
 
-def objective_value(model, query, candidate, objective, dataset, lam=None,
-                    dice_candidates=None, dice_index=None) -> float:
-    """Scalar objective at one candidate, as the search sees it."""
-    _, values = objective_grad_x_rows(model, query, np.asarray(candidate)[None, :],
-                                      objective, dataset, lam, dice_candidates, dice_index)
-    return float(values[0])
-
-
 def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
                           dice_candidates=None, dice_index=None, proto_pool=None):
     """Candidate gradients and objective values at each row of `points`.
@@ -353,18 +360,36 @@ def _lam_of(objective, lam):
 
 # -- candidate initialization -----------------------------------------------------
 
-def _initial_candidates(initializer, queries, k, model, dataset, mutable):
+def segment_slices(segments, n: int) -> list[slice]:
+    """The row slices of consecutive segments of `segments[i]` rows each.
+
+    None is one segment of all `n` rows.  Raises ExplainError unless the
+    counts are non-negative integers summing to `n`.
+    """
+    if segments is None:
+        return [slice(0, n)]
+    counts = [int(c) for c in segments]
+    if not counts or min(counts) < 0 or sum(counts) != n:
+        raise ExplainError(f"segments {tuple(segments)} do not split {n} rows")
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _initial_candidates(initializer, queries, k, model, dataset, mutable, segments=None):
+    """Start candidates, shape (n, k, d).
+
+    Random starts are drawn per segment (see `segment_slices`), each as a
+    call on that segment alone would draw them, so segments holding the
+    same points, or the same points perturbed, start from the same draws.
+    """
     n, d = queries.shape
+    slices = segment_slices(segments, n)
     base = np.repeat(queries[:, None, :], k, axis=1)
     if initializer.kind == "origin":
         starts = base.copy()
-    elif initializer.kind == "gaussian-jitter":
-        rng = np.random.default_rng([initializer.seed, 1])
-        starts = base + rng.standard_normal((n, k, d))
-    elif initializer.kind == "random-uniform":
-        lo, hi = dataset.train_feature_bounds()
-        rng = np.random.default_rng([initializer.seed, 2])
-        starts = rng.uniform(lo, hi, size=(n, k, d))
+    elif initializer.kind in ("gaussian-jitter", "random-uniform"):
+        starts = np.concatenate([_random_starts(initializer, base[s], dataset)
+                                 for s in slices])
     elif initializer.kind == "positive-mean":
         mean = _predicted_positive_train(model, dataset).mean(axis=0)
         starts = np.broadcast_to(mean, (n, k, d)).copy()
@@ -372,6 +397,16 @@ def _initial_candidates(initializer, queries, k, model, dataset, mutable):
         raise ValueError(initializer.kind)
     starts[:, :, ~mutable] = base[:, :, ~mutable]
     return starts
+
+
+def _random_starts(initializer, base, dataset):
+    """One segment's random starts; each segment restarts the seeded stream."""
+    if initializer.kind == "gaussian-jitter":
+        rng = np.random.default_rng([initializer.seed, 1])
+        return base + rng.standard_normal(base.shape)
+    lo, hi = dataset.train_feature_bounds()
+    rng = np.random.default_rng([initializer.seed, 2])
+    return rng.uniform(lo, hi, size=base.shape)
 
 
 # -- descent engine -----------------------------------------------------------------
@@ -476,7 +511,7 @@ def _lam_schedule(objective, budget):
 
 
 def _search_many(model, queries, objective, dataset, initializer, budget,
-                 cost_reference, record_trace=False) -> list[CfResult]:
+                 cost_reference, record_trace=False, segments=None) -> list[CfResult]:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     n, d = queries.shape
     if d != dataset.d:
@@ -499,7 +534,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     k = objective.k if is_dice else 1
     proto_pool = (_prototype_pool(model, dataset)
                   if objective.kind == "prototypes" else None)
-    starts = _initial_candidates(initializer, queries, k, model, dataset, mutable)
+    starts = _initial_candidates(initializer, queries, k, model, dataset, mutable, segments)
 
     results: list[CfResult | None] = [None] * n
     iterations = np.zeros(n, dtype=int)
@@ -610,21 +645,19 @@ def find_counterfactual(model, x, objective: CfObjective, dataset,
 def batch_explain(model, points, objective: CfObjective, dataset,
                   initializer: Initializer = Initializer(),
                   budget: SearchBudget = SearchBudget(),
-                  cost_reference=None) -> BatchExplainResult:
+                  cost_reference=None, *, segments=None) -> BatchExplainResult:
     """Explain many points; results stay ordered by input index.
 
     The mean cost covers the found-valid subset only; failures are counted,
-    not averaged.
+    not averaged.  `segments` (row counts, see `segment_slices`) stacks
+    several searches into this one: each segment draws its random starts as
+    a call of its own would, and `split` recovers its summary.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
-        return BatchExplainResult(results=[], mean_cost=float("nan"), not_found=0)
-    results = _search_many(model, points, objective, dataset, initializer, budget,
-                           cost_reference)
-    costs = [r.cost for r in results if r.valid]
-    mean_cost = float(np.mean(costs)) if costs else float("nan")
-    return BatchExplainResult(results=results, mean_cost=mean_cost,
-                              not_found=sum(1 for r in results if not r.found))
+        return _summarize([])
+    return _summarize(_search_many(model, points, objective, dataset, initializer, budget,
+                                   cost_reference, segments=segments))
 
 
 def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,
@@ -636,9 +669,9 @@ def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,
     perturbation reroutes the search to a different minimum.
     """
     x = np.asarray(x, dtype=float)
-    base = find_counterfactual(model, x, objective, dataset, initializer, budget)
-    moved = find_counterfactual(model, x + np.asarray(delta, dtype=float), objective,
-                                dataset, initializer, budget, cost_reference=x)
+    base, moved = batch_explain(model, [x, x + np.asarray(delta, dtype=float)], objective,
+                                dataset, initializer, budget, cost_reference=[x, x],
+                                segments=(1, 1)).results
     if not (base.found and moved.found):
         return float("nan")
     return float(np.linalg.norm(base.x_cf - moved.x_cf))

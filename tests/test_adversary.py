@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 import recourselab as rl
 from conftest import negative_test_rows
-from recourselab import adversary
+from recourselab import adversary, explainers
 from recourselab.adversary import (
     AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Config,
     batch_hypergradient, counterfactual_term_grad, implicit_jacobian, load_artifact,
@@ -449,6 +451,91 @@ class TestPhase2:
         a = phase2_fit(baseline_small, delta, synth_small, mini_phase2())
         b = phase2_fit(baseline_small, delta, synth_small, mini_phase2())
         assert a.model.flatten().tobytes() == b.model.flatten().tobytes()
+
+
+def assert_steps_close(got, want, rel=1e-9):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, float):
+            assert (math.isnan(value) and math.isnan(other)) or \
+                other == pytest.approx(value, rel=rel, abs=1e-12), name
+        else:
+            assert other == value, name
+
+
+class TestMergedPhase2:
+    DELTA = np.array([0.3, -0.2])
+
+    @pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
+    def test_step0_equals_three_searches(self, synth_small, baseline_small, monkeypatch,
+                                         init):
+        config = mini_phase2(steps=0, subsample=synth_small.n)   # every train negative
+        config.initializer = Initializer(init, seed=2)
+        merged = phase2_fit(baseline_small, self.DELTA, synth_small, config).phase2_steps[0]
+        search_terms = adversary._search_terms
+
+        def three_searches(model, conditions, *args):
+            return [search_terms(model, [c], *args)[0] for c in conditions]
+
+        monkeypatch.setattr(adversary, "_search_terms", three_searches)
+        separate = phase2_fit(baseline_small, self.DELTA, synth_small, config)
+        assert_steps_close(merged, separate.phase2_steps[0])
+
+        slices = synth_small.group_slices(baseline_small, split="train")
+        pr = synth_small.features[slices["protected-neg"].indices]
+        np_ = synth_small.features[slices["nonprotected-neg"].indices]
+        search = dict(objective=config.objective, dataset=synth_small,
+                      initializer=config.initializer, budget=config.budget)
+        for got, want in (
+                (merged.pr_clean_cost, rl.batch_explain(baseline_small, pr, **search)),
+                (merged.np_clean_cost, rl.batch_explain(baseline_small, np_, **search)),
+                (merged.np_delta_cost, rl.batch_explain(baseline_small, np_ + self.DELTA,
+                                                        cost_reference=np_, **search))):
+            assert got == pytest.approx(want.mean_cost, rel=1e-9)
+
+    def test_one_search_per_evaluation(self, synth_small, baseline_small, monkeypatch):
+        calls = []
+        search = explainers._search_many
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("segments"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(explainers, "_search_many", counted)
+        art = phase2_fit(baseline_small, self.DELTA, synth_small, mini_phase2(steps=1))
+        assert len(calls) == len(art.phase2_steps) == 2
+        n_pr, n_np, n_np2 = calls[0]
+        assert n_np == n_np2 and 0 < n_pr <= 12 and 0 < n_np <= 12
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_condition_terms(self, synth_small, baseline_small, empty):
+        config = mini_phase2()
+        rows = synth_small.features[negative_test_rows(synth_small, baseline_small)[:4]]
+        none = rows[:0]
+        conditions = [(rows, rows), (rows, rows + self.DELTA)]
+        conditions[empty] = (none, none)
+        terms = adversary._search_terms(baseline_small, conditions, config.objective,
+                                        synth_small, config.initializer, config.budget,
+                                        "auto")
+        assert terms[empty].results == [] and terms[empty].not_found == 0
+        assert math.isnan(terms[empty].mean_cost)
+        assert not terms[empty].grad.any()
+        assert terms[empty].counts == adversary.HypergradCounts()
+        full = terms[1 - empty]
+        assert len(full.results) == 4 and math.isfinite(full.mean_cost)
+
+    @pytest.mark.parametrize("empty", ["protected", "nonprotected"])
+    def test_empty_condition_step(self, synth_small, baseline_small, empty):
+        everyone = np.full(synth_small.n, empty == "nonprotected")
+        ds = dataclasses.replace(synth_small, protected=everyone)
+        art = phase2_fit(baseline_small, self.DELTA, ds, mini_phase2(steps=1))
+        for step in art.phase2_steps:
+            assert math.isnan(step.disparity) and not step.constraint_ok
+            if empty == "protected":
+                assert math.isnan(step.pr_clean_cost) and math.isfinite(step.np_clean_cost)
+            else:
+                assert math.isnan(step.np_clean_cost) and math.isnan(step.np_delta_cost)
+                assert math.isfinite(step.pr_clean_cost)
 
 
 class TestArtifactSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,10 @@ from recourselab.audit import (
     AuditReport, cost_reduction, disparity, local_outlier_factor, outlier_percentage,
     report_to_csv, run_audit, true_positive_points,
 )
-from recourselab.explainers import CfObjective, CfResult, SearchBudget
+from recourselab import explainers
+from recourselab.explainers import (
+    OBJECTIVE_KINDS, CfObjective, CfResult, Initializer, SearchBudget, batch_explain,
+)
 
 from conftest import negative_test_rows
 
@@ -209,3 +213,87 @@ class TestRunAudit:
             assert abs(cost_reduction([np_], [npd]) - red) <= 0.3
         # row where only the reduction survives rounding of its means
         assert abs(cost_reduction([5.08], [3.16]) - 1.8) <= 0.3
+
+
+def assert_close(a, b, rel=1e-9):
+    assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=rel, abs=1e-12)
+
+
+def three_searches(model, dataset, objective, initializer, budget, delta):
+    """The audit's conditions searched one `batch_explain` call each."""
+    slices = dataset.group_slices(model, split="test")
+    pr = dataset.features[slices["protected-neg"].indices]
+    np_ = dataset.features[slices["nonprotected-neg"].indices]
+    return {
+        "protected": batch_explain(model, pr, objective, dataset, initializer, budget),
+        "nonprotected": batch_explain(model, np_, objective, dataset, initializer, budget),
+        "nonprotected_delta": batch_explain(model, np_ + delta, objective, dataset,
+                                            initializer, budget, cost_reference=np_),
+    }
+
+
+class TestMergedAudit:
+    DELTA = np.array([0.3, -0.2])
+
+    @pytest.mark.parametrize("init", ["origin", "random-uniform", "gaussian-jitter"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_equals_three_searches(self, synth_small, baseline_small, kind, init):
+        objective, initializer = CfObjective(kind), Initializer(init, seed=4)
+        budget = SearchBudget(steps=150)
+        details = run_audit(baseline_small, synth_small, objective, delta=self.DELTA,
+                            initializer=initializer, budget=budget, return_details=True)
+        runs = three_searches(baseline_small, synth_small, objective, initializer, budget,
+                              self.DELTA)
+        for name, run in runs.items():
+            merged = details.results[name]
+            assert len(merged) == len(run.results) > 0
+            for got, want in zip(merged, run.results):
+                assert (got.found, got.valid, got.iterations, got.lam_attempts,
+                        got.final_lam, got.optimizer) == (
+                    want.found, want.valid, want.iterations, want.lam_attempts,
+                    want.final_lam, want.optimizer)
+                assert_close(got.cost, want.cost)
+                if want.found:
+                    np.testing.assert_allclose(got.x_cf, want.x_cf, rtol=1e-9, atol=1e-12)
+        report = details.report
+        costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
+        positives = true_positive_points(baseline_small, synth_small)
+        assert_close(report.mean_cost_protected, runs["protected"].mean_cost)
+        assert_close(report.mean_cost_nonprotected, runs["nonprotected"].mean_cost)
+        assert_close(report.mean_cost_nonprotected_delta, runs["nonprotected_delta"].mean_cost)
+        assert_close(report.disparity, disparity(costs["protected"], costs["nonprotected"]))
+        assert_close(report.cost_reduction,
+                     cost_reduction(costs["nonprotected"], costs["nonprotected_delta"]))
+        for name, run in runs.items():
+            assert report.not_found[name] == run.not_found
+            assert_close(report.outlier_pct[name],
+                         outlier_percentage(run.results, positives, synth_small.mad))
+
+    def test_one_search_call(self, synth_small, baseline_small, monkeypatch):
+        calls = []
+        search = explainers._search_many
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("segments"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(explainers, "_search_many", counted)
+        report = run_audit(baseline_small, synth_small, CfObjective("wachter"),
+                           delta=self.DELTA, budget=SearchBudget(steps=100))
+        n = report.n_queries
+        assert calls == [(n["protected"], n["nonprotected"], n["nonprotected"])]
+
+    @pytest.mark.parametrize("empty", ["protected", "nonprotected"])
+    def test_empty_condition(self, synth_small, baseline_small, empty):
+        everyone = np.full(synth_small.n, empty == "nonprotected")
+        ds = dataclasses.replace(synth_small, protected=everyone)
+        report = run_audit(baseline_small, ds, CfObjective("wachter"), delta=self.DELTA,
+                           budget=SearchBudget(steps=100))
+        assert report.n_queries[empty] == 0
+        assert report.not_found[empty] == 0
+        assert math.isnan(getattr(report, f"mean_cost_{empty}"))
+        assert math.isnan(report.outlier_pct[empty])
+        assert math.isnan(report.disparity) and report.fair is None
+        other = "protected" if empty == "nonprotected" else "nonprotected"
+        assert report.n_queries[other] > 0
+        assert math.isfinite(getattr(report, f"mean_cost_{other}"))

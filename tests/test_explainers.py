@@ -6,7 +6,7 @@ import pytest
 import recourselab as rl
 from recourselab import explainers
 from recourselab.explainers import (
-    OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
+    INITIALIZER_KINDS, OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
     _initial_candidates, _objective_grads, _prototype_pool, batch_explain,
     dice_loss, dist_prototype, dist_sparse, dist_wachter, find_counterfactual,
     nearest_predicted_positive, results_to_csv, sensitivity_probe,
@@ -523,12 +523,68 @@ class TestInitializers:
         assert a.tobytes() == b.tobytes()
 
 
+class TestSegments:
+    @pytest.mark.parametrize("kind", INITIALIZER_KINDS)
+    def test_each_segment_draws_as_if_alone(self, synth_small, baseline_small, kind):
+        q = synth_small.features[:5]
+        queries = np.concatenate([q[:2], q[2:], q[2:] + 0.3])
+        segments = (2, 3, 3)
+        init = Initializer(kind, seed=5)
+        mutable = np.array([True, False])
+        merged = _initial_candidates(init, queries, 2, baseline_small, synth_small,
+                                     mutable, segments)
+        alone = [_initial_candidates(init, queries[s], 2, baseline_small, synth_small,
+                                     mutable)
+                 for s in explainers.segment_slices(segments, len(queries))]
+        assert merged.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_perturbed_segment_shares_draws(self, synth_small, baseline_small):
+        q = synth_small.features[:3]
+        starts = _initial_candidates(Initializer("random-uniform", seed=2),
+                                     np.concatenate([q, q + 0.3]), 1, baseline_small,
+                                     synth_small, np.ones(2, bool), (3, 3))
+        assert np.array_equal(starts[:3], starts[3:])
+
+    @pytest.mark.parametrize("segments", [(1, 1), (2, 2), (4, -1), ()])
+    def test_segments_must_split_the_rows(self, synth_small, baseline_small, segments):
+        rows = negative_test_rows(synth_small, baseline_small)[:3]
+        with pytest.raises(ExplainError):
+            batch_explain(baseline_small, synth_small.features[rows], CfObjective("wachter"),
+                          synth_small, budget=SearchBudget(steps=50), segments=segments)
+
+    def test_split_summaries(self, synth_small, baseline_small):
+        rows = negative_test_rows(synth_small, baseline_small)[:5]
+        out = batch_explain(baseline_small, synth_small.features[rows],
+                            CfObjective("wachter"), synth_small,
+                            budget=SearchBudget(steps=200), segments=(2, 0, 3))
+        parts = out.split((2, 0, 3))
+        assert [len(p.results) for p in parts] == [2, 0, 3]
+        assert parts[0].results == out.results[:2] and parts[2].results == out.results[2:]
+        assert np.isnan(parts[1].mean_cost) and parts[1].not_found == 0
+        assert parts[2].mean_cost == np.mean([r.cost for r in out.results[2:] if r.valid])
+
+
 def test_sensitivity_probe(synth_small, baseline_small):
     rows = negative_test_rows(synth_small, baseline_small)
     x = synth_small.features[rows[0]]
     gap = sensitivity_probe(baseline_small, x, np.array([0.05, 0.0]),
                             CfObjective("wachter"), synth_small)
     assert np.isfinite(gap) and gap >= 0.0
+
+
+@pytest.mark.parametrize("init", [Initializer(), Initializer("gaussian-jitter", seed=3),
+                                  Initializer("random-uniform", seed=1)])
+def test_sensitivity_probe_matches_two_searches(synth_small, baseline_small, init):
+    rows = negative_test_rows(synth_small, baseline_small)
+    x = synth_small.features[rows[1]]
+    delta = np.array([0.2, -0.1])
+    obj, budget = CfObjective("wachter"), SearchBudget(steps=300)
+    gap = sensitivity_probe(baseline_small, x, delta, obj, synth_small, init, budget)
+    base = find_counterfactual(baseline_small, x, obj, synth_small, init, budget)
+    moved = find_counterfactual(baseline_small, x + delta, obj, synth_small, init, budget,
+                                cost_reference=x)
+    assert base.found and moved.found
+    assert gap == pytest.approx(float(np.linalg.norm(base.x_cf - moved.x_cf)), rel=1e-9)
 
 
 def test_objective_validation():
