@@ -11,9 +11,6 @@ from .explainers import (
     Initializer,
     SearchBudget,
     batch_explain,
-    dice_loss,
-    dist_prototype,
-    dist_sparse,
     dist_wachter,
     find_counterfactual,
     sensitivity_probe,

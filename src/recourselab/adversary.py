@@ -12,6 +12,12 @@ Phase two only needs the cost gradient chained through that product, so it
 solves one Hessian system per point and takes the mixed partials as a single
 weighted parameter backprop per batch (`batch_hypergradient`);
 `implicit_jacobian` builds the dense matrix for inspection and tests.
+
+One rule picks the solve for each point (`_choose_mode`): the full inverse
+when at most FULL_INVERSE_MAX_DIM coordinates moved and its reciprocal
+condition is at least RCOND_MIN; otherwise the diagonal of the Hessian,
+unless an entry is below DIAG_MIN; otherwise the point is refused
+(HessianConditionError), and the batch path counts it as skipped.
 """
 
 from __future__ import annotations
@@ -32,11 +38,10 @@ HESSIAN_FD_STEP = 1e-4
 RCOND_MIN = 1e-10
 FULL_INVERSE_MAX_DIM = 20
 DIAG_MIN = 1e-12
-IMPLICIT_MODES = ("auto", "full-inverse", "diagonal-approximation")
 
 
 class HessianConditionError(RuntimeError):
-    """The candidate Hessian was refused in every mode allowed."""
+    """The candidate Hessian was refused by both the full and the diagonal solve."""
 
 
 class Phase2Aborted(RuntimeError):
@@ -69,7 +74,6 @@ class _ImplicitSystem:
 
     free: np.ndarray
     rows: np.ndarray
-    fd_step: float
     hessian: np.ndarray
     mode: str
     rcond: float
@@ -86,10 +90,8 @@ class _ImplicitSystem:
         return rhs / (diag if rhs.ndim == 1 else diag[:, None])
 
 
-def _implicit_system(model, x, objective, x_cf, dataset, *, lam, mode,
-                     fd_step=HESSIAN_FD_STEP, stationarity_tol=STATIONARITY_TOL,
-                     dice_candidates=None, dice_index=None,
-                     proto_pool=None) -> _ImplicitSystem:
+def _implicit_system(model, x, objective, x_cf, dataset, *, lam, dice_candidates=None,
+                     dice_index=None, proto_pool=None) -> _ImplicitSystem:
     """Pinned/free split, stationarity, Hessian and mode of one counterfactual.
 
     All four objectives carry an l1-at-query term, so their optima are
@@ -98,10 +100,8 @@ def _implicit_system(model, x, objective, x_cf, dataset, *, lam, mode,
     small parameter changes and is pinned, as are masked-off features.  The
     Hessian is a central difference of the candidate gradient over the free
     coordinates, all 2·dm points plus `x_cf` itself in one kernel call.
-    Raises HessianConditionError when no allowed mode accepts it.
+    Raises HessianConditionError when `_choose_mode` refuses it.
     """
-    if mode not in IMPLICIT_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     x = np.asarray(x, dtype=float)
     x_cf = np.asarray(x_cf, dtype=float)
     d = dataset.d
@@ -109,57 +109,48 @@ def _implicit_system(model, x, objective, x_cf, dataset, *, lam, mode,
         mutable = np.ones(d, dtype=bool)
     else:
         mutable = np.asarray(objective.feature_mask, dtype=bool)
-    free = np.flatnonzero(mutable & (np.abs(x_cf - x) > fd_step))
+    free = np.flatnonzero(mutable & (np.abs(x_cf - x) > HESSIAN_FD_STEP))
     dm = free.size
-    bumps = fd_step * np.eye(d)[free]
+    bumps = HESSIAN_FD_STEP * np.eye(d)[free]
     rows = np.concatenate([x_cf + bumps, x_cf - bumps])
     grads, _ = explainers.objective_grad_x_rows(
         model, x, np.vstack([x_cf, rows]), objective, dataset, lam=lam,
         dice_candidates=dice_candidates, dice_index=dice_index, proto_pool=proto_pool)
     stationarity = float(np.max(np.abs(grads[0, free]))) if dm else 0.0
-    hessian = (grads[1:dm + 1][:, free] - grads[dm + 1:][:, free]) / (2.0 * fd_step)
+    hessian = (grads[1:dm + 1][:, free] - grads[dm + 1:][:, free]) / (2.0 * HESSIAN_FD_STEP)
     hessian = 0.5 * (hessian + hessian.T)
-    mode, rcond = _choose_mode(hessian, mode)
-    return _ImplicitSystem(free=free, rows=rows, fd_step=fd_step, hessian=hessian,
-                           mode=mode, rcond=rcond, stationarity=stationarity,
-                           approximate=stationarity > stationarity_tol)
+    mode, rcond = _choose_mode(hessian)
+    return _ImplicitSystem(free=free, rows=rows, hessian=hessian, mode=mode, rcond=rcond,
+                           stationarity=stationarity,
+                           approximate=stationarity > STATIONARITY_TOL)
 
 
-def _choose_mode(hessian: np.ndarray, mode: str) -> tuple[str, float]:
-    """The mode that solves with `hessian`, and its reciprocal condition.
+def _choose_mode(hessian: np.ndarray) -> tuple[str, float]:
+    """The solve for `hessian`, and its reciprocal condition.
 
-    `auto` takes the full inverse up to FULL_INVERSE_MAX_DIM moved
-    coordinates and the diagonal approximation above that or when the full
-    inverse is refused.
+    The full inverse when at most FULL_INVERSE_MAX_DIM coordinates moved and
+    its reciprocal condition is at least RCOND_MIN; otherwise the diagonal,
+    unless an entry of it is below DIAG_MIN in magnitude; otherwise
+    HessianConditionError.
     """
     dm = hessian.shape[0]
-    if mode == "auto":
-        if dm <= FULL_INVERSE_MAX_DIM:
-            try:
-                return _choose_mode(hessian, "full-inverse")
-            except HessianConditionError:
-                pass
-        return _choose_mode(hessian, "diagonal-approximation")
     if dm == 0:
-        return mode, 1.0
-    if mode == "full-inverse":
+        return "full-inverse", 1.0
+    if dm <= FULL_INVERSE_MAX_DIM:
         cond = np.linalg.cond(hessian)
         rcond = 0.0 if not np.isfinite(cond) else (1.0 / cond if cond > 0 else 0.0)
-        if rcond < RCOND_MIN:
-            raise HessianConditionError(
-                f"candidate Hessian reciprocal condition {rcond:.2e} below "
-                f"{RCOND_MIN:.0e}; use mode='diagonal-approximation'")
-        return mode, float(rcond)
+        if rcond >= RCOND_MIN:
+            return "full-inverse", float(rcond)
     diag = np.abs(np.diag(hessian))
     if np.min(diag) < DIAG_MIN:
-        raise HessianConditionError("candidate Hessian diagonal is numerically zero")
-    return mode, float(np.min(diag) / np.max(diag))
+        raise HessianConditionError(
+            f"candidate Hessian on {dm} moved coordinates refused: no usable full "
+            f"inverse and its diagonal is numerically zero")
+    return "diagonal-approximation", float(np.min(diag) / np.max(diag))
 
 
 def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
-                      dataset: Dataset, *, lam: float | None = None, mode: str = "auto",
-                      fd_step: float = HESSIAN_FD_STEP,
-                      stationarity_tol: float = STATIONARITY_TOL,
+                      dataset: Dataset, *, lam: float | None = None,
                       dice_candidates=None, dice_index=None) -> JacobianEstimate:
     """Differentiate a converged counterfactual with respect to the parameters.
 
@@ -171,10 +162,10 @@ def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
     `_implicit_system`) get exact zero rows; the inverse-Hessian system is
     solved on the moved coordinates, where classical stationarity applies.
     A counterfactual whose moved coordinates are not stationary within
-    `stationarity_tol` (inf-norm) yields an estimate flagged `approximate`.
+    STATIONARITY_TOL (inf-norm) yields an estimate flagged `approximate`.
+    Raises HessianConditionError when the solve rule refuses the Hessian.
     """
-    system = _implicit_system(model, x, objective, x_cf, dataset, lam=lam, mode=mode,
-                              fd_step=fd_step, stationarity_tol=stationarity_tol,
+    system = _implicit_system(model, x, objective, x_cf, dataset, lam=lam,
                               dice_candidates=dice_candidates, dice_index=dice_index)
     dm = system.free.size
     mixed = np.zeros((dm, model.param_count))
@@ -182,7 +173,7 @@ def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
         gt_hi = explainers.objective_grad_params(model, x, system.rows[i], objective, lam=lam)
         gt_lo = explainers.objective_grad_params(model, x, system.rows[dm + i], objective,
                                                  lam=lam)
-        mixed[i] = (gt_hi - gt_lo) / (2.0 * fd_step)
+        mixed[i] = (gt_hi - gt_lo) / (2.0 * HESSIAN_FD_STEP)
     matrix = np.zeros((dataset.d, model.param_count))
     matrix[system.free] = -system.solve(mixed)
     return JacobianEstimate(matrix=matrix, mode=system.mode, hessian_rcond=system.rcond,
@@ -201,8 +192,8 @@ class HypergradCounts:
 
 
 def batch_hypergradient(model: MlpClassifier, origins, queries, results,
-                        objective: CfObjective, dataset: Dataset,
-                        mode: str = "auto") -> tuple[np.ndarray, HypergradCounts]:
+                        objective: CfObjective,
+                        dataset: Dataset) -> tuple[np.ndarray, HypergradCounts]:
     """Mean over the found results of v @ J, without building any J.
 
     `v = sign(x_cf - origin) / mad` is the recourse cost's gradient and J the
@@ -228,8 +219,7 @@ def batch_hypergradient(model: MlpClassifier, origins, queries, results,
                 if objective.kind == "dice" else {})
         try:
             system = _implicit_system(model, query, objective, r.x_cf, dataset,
-                                      lam=r.final_lam, mode=mode, proto_pool=proto_pool,
-                                      **dice)
+                                      lam=r.final_lam, proto_pool=proto_pool, **dice)
         except HessianConditionError:
             counts.skipped += 1
             continue
@@ -239,7 +229,7 @@ def batch_hypergradient(model: MlpClassifier, origins, queries, results,
             counts.diagonal += 1
         counts.approximate += int(system.approximate)
         v = np.sign(r.x_cf - np.asarray(origin, dtype=float)) / dataset.mad
-        w = system.solve(v[system.free]) / (2.0 * system.fd_step)
+        w = system.solve(v[system.free]) / (2.0 * HESSIAN_FD_STEP)
         if objective.kind != "dice":
             w = r.final_lam * w    # the squared push enters scaled by its weight
         rows.append(system.rows)
@@ -265,8 +255,7 @@ class TermGrad:
 def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObjective,
                              dataset: Dataset, *,
                              initializer: Initializer = Initializer(),
-                             budget: SearchBudget = SearchBudget(),
-                             mode: str = "auto") -> TermGrad:
+                             budget: SearchBudget = SearchBudget()) -> TermGrad:
     """Parameter gradient of the recourse cost d_W(x, A(x + delta)).
 
     A one-row batch of the phase-two path: the search runs at the
@@ -279,7 +268,7 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
     x = np.asarray(x, dtype=float)
     query = x if delta is None else x + np.asarray(delta, dtype=float)
     term, = _search_terms(model, [(x[None, :], query[None, :])], objective, dataset,
-                          initializer, budget, mode)
+                          initializer, budget)
     result = term.results[0]
     return TermGrad(grad=term.grad, found=result.found, cost=result.cost, result=result,
                     skipped=term.counts.skipped > 0)
@@ -297,8 +286,8 @@ class _BatchTerm:
         return sum(1 for r in self.results if not r.found)
 
 
-def _search_terms(model, conditions, objective, dataset, initializer, budget,
-                  mode) -> list[_BatchTerm]:
+def _search_terms(model, conditions, objective, dataset, initializer,
+                  budget) -> list[_BatchTerm]:
     """Search every condition in one batch, then chain each condition's found
     counterfactuals through the implicit step.
 
@@ -315,7 +304,7 @@ def _search_terms(model, conditions, objective, dataset, initializer, budget,
     for s, part in zip(explainers.segment_slices(segments, len(queries)),
                        batch.split(segments)):
         grad, counts = batch_hypergradient(model, origins[s], queries[s], part.results,
-                                           objective, dataset, mode)
+                                           objective, dataset)
         terms.append(_BatchTerm(results=part.results, mean_cost=part.mean_cost, grad=grad,
                                 counts=counts))
     return terms
@@ -420,7 +409,6 @@ class Phase2Config:
     bce_weight: float = 1.0
     np_cost_weight: float = 1.0
     disparity_weight: float = 1.0
-    jacobian_mode: str = "auto"
     abort_not_found_rate: float = 0.5
 
 
@@ -493,7 +481,7 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     for step in range(config.steps + 1):
         terms = _search_terms(net, [(pr, pr), (np_, np_), (np_, np_ + delta)],
                               config.objective, dataset, config.initializer,
-                              config.budget, config.jacobian_mode)
+                              config.budget)
         pr_clean, np_clean, np_delta = terms
         np_delta_cost = np_delta.mean_cost
         np_clean_cost = np_clean.mean_cost

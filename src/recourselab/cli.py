@@ -225,6 +225,13 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"explainer.initializer: unknown kind {ex.initializer!r}")
     if ex.steps < 1 or ex.lr <= 0:
         raise ConfigError("explainer.steps/lr: must be positive")
+    if ex.lam < 0:
+        raise ConfigError("explainer.lam: must be non-negative")
+    for name in ("lam1", "lam2", "beta"):
+        if getattr(ex, name) <= 0:
+            raise ConfigError(f"explainer.{name}: must be positive")
+    if ex.k < 1:
+        raise ConfigError("explainer.k: dice needs at least one candidate")
     lam1_floor = explainers.SearchBudget().lam1_floor
     if ex.kind == "dice" and ex.lam1 < lam1_floor:
         raise ConfigError(f"explainer.lam1: dice escalation divides lam1 by 10 down to "
@@ -234,6 +241,8 @@ def validate_config(config: ExperimentConfig) -> None:
     tr = config.training
     if min(tr.baseline_steps, tr.phase1_steps, tr.phase2_steps) < 0:
         raise ConfigError("training steps: must be non-negative")
+    if tr.subsample < 1:
+        raise ConfigError("training.subsample: must be positive")
     if config.sweep is not None:
         if config.sweep.axis not in ("initializer", "mask-size", "width"):
             raise ConfigError(f"sweep.axis: unknown axis {config.sweep.axis!r}")

@@ -30,6 +30,10 @@ RESULT_CSV_HEADER = ("index", "valid", "cost", "iterations", "lam", "initializer
 # spare rows run the next escalation levels at little extra cost.
 SEARCH_ROWS = 96
 
+# An Adam search that has moved no coordinate further than this after
+# `stall_window` steps is frozen at its start and reruns with momentum.
+STALL_TOL = 1e-8
+
 
 class ExplainError(RuntimeError):
     """Raised when a search cannot even be set up (bad mask, no positives...)."""
@@ -79,25 +83,17 @@ class Initializer:
 class SearchBudget:
     """Fixed-step search protocol.
 
-    `snap_tol` is the terminal sparsity cleanup: coordinates the descent left
-    within it of the query are rounded exactly onto the query (the l1 terms
+    Each attempt ends with a sparsity cleanup: coordinates the descent left
+    within `lr` of the query are rounded exactly onto the query (the l1 terms
     make true optima sparse; the optimizer dithers around those kinks at its
-    step scale).  None means "use the learning rate"; 0 disables.  A snap
-    that breaks validity is reverted.
+    step scale).  A snap that breaks validity is reverted.
     """
 
     steps: int = 1000
     lr: float = 0.01
-    momentum: float = 0.9
     max_doublings: int = 20
     lam1_floor: float = 1e-3
     stall_window: int = 50
-    stall_tol: float = 1e-8
-    snap_tol: float | None = None
-
-    @property
-    def effective_snap_tol(self) -> float:
-        return self.lr if self.snap_tol is None else self.snap_tol
 
 
 @dataclass
@@ -159,44 +155,6 @@ def dist_wachter(x, x_cf, mad) -> float:
     if x.shape != x_cf.shape or x.shape != mad.shape:
         raise ValueError("vector lengths disagree")
     return float(np.sum(np.abs(x - x_cf) / mad))
-
-
-def dist_sparse(x, x_cf) -> float:
-    """Elastic-net style distance: l1 plus squared l2."""
-    x = np.asarray(x, dtype=float)
-    x_cf = np.asarray(x_cf, dtype=float)
-    if x.shape != x_cf.shape:
-        raise ValueError("vector lengths disagree")
-    diff = x - x_cf
-    return float(np.sum(np.abs(diff)) + np.sum(diff ** 2))
-
-
-def dist_prototype(x, x_cf, proto, beta: float = 1.0) -> float:
-    """Sparse distance pulled toward the nearest positively classified point."""
-    x = np.asarray(x, dtype=float)
-    x_cf = np.asarray(x_cf, dtype=float)
-    proto = np.asarray(proto, dtype=float)
-    diff = x - x_cf
-    return float(beta * np.sum(np.abs(diff)) + np.sum(diff ** 2)
-                 + np.sum((x_cf - proto) ** 2))
-
-
-def dice_loss(model, x, candidates, mad, lam1: float, lam2: float) -> float:
-    """Hinge validity over k candidates plus weighted proximity minus diversity."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    k = candidates.shape[0]
-    if k == 0:
-        raise ValueError("dice needs at least one candidate")
-    x = np.asarray(x, dtype=float)
-    mad = np.asarray(mad, dtype=float)
-    logits = np.atleast_1d(model.logits(candidates))
-    hinge = np.maximum(0.0, 1.0 - logits).sum()
-    proximity = sum(dist_wachter(x, c, mad) for c in candidates)
-    diversity = 0.0
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            diversity += dist_wachter(candidates[i], candidates[j], mad)
-    return float(hinge + (lam1 / k) * proximity - (lam2 / k ** 2) * diversity)
 
 
 def nearest_predicted_positive(model, dataset, points: np.ndarray) -> np.ndarray:
@@ -427,7 +385,7 @@ def _descend(model, queries, starts, lam, objective, mad, mutable, budget,
     if optimizer == "adam":
         state, step_fn = AdamState(lr=budget.lr), adam_step
     else:
-        state, step_fn = MomentumState(lr=budget.lr, momentum=budget.momentum), sgd_momentum_step
+        state, step_fn = MomentumState(lr=budget.lr), sgd_momentum_step
     trace = np.empty((budget.steps + 1, n)) if record_trace else None
     frozen = None if mutable.all() else ~mutable
     stalled = np.zeros(n, dtype=bool)
@@ -442,7 +400,7 @@ def _descend(model, queries, starts, lam, objective, mad, mutable, budget,
         C = step_fn(state, C, grad)
         if optimizer == "adam" and step + 1 == budget.stall_window:
             moved = np.abs(C - starts).reshape(n, -1).max(axis=1)
-            stalled = moved < budget.stall_tol
+            stalled = moved < STALL_TOL
     _, value, probs = _objective_grads(model, queries, C, lam, objective, mad,
                                        proto_pool, record_trace)
     if record_trace:
@@ -478,17 +436,15 @@ def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget,
 
 
 def _snap_to_query(model, queries, C, probs, budget):
-    """Round near-kink coordinates exactly onto the query, keeping validity.
+    """Round coordinates within `budget.lr` of the query exactly onto it,
+    keeping validity.
 
     Candidates are chosen per slot: the snapped point when the model still
     accepts it (or when the raw point was rejected anyway), the raw point
     otherwise.
     """
-    tol = budget.effective_snap_tol
-    if tol <= 0.0:
-        return C, probs
     Q = np.repeat(queries[:, None, :], C.shape[1], axis=1)
-    near = np.abs(C - Q) <= tol
+    near = np.abs(C - Q) <= budget.lr
     if not near.any():
         return C, probs
     snapped = np.where(near, Q, C)

@@ -334,31 +334,21 @@ class TrainResult:
 
 
 def train_baseline(dataset, steps: int = 50, seed: int = 0,
-                   hidden: Sequence[int] = DEFAULT_HIDDEN, lr: float = DEFAULT_LR,
-                   batch_size: int | None = None) -> TrainResult:
-    """Train an unmodified classifier with full-batch Adam steps.
-
-    `batch_size=None` uses the whole train split each step (the default
-    reading of an "optimization step"); a minibatch size samples rows with a
-    seeded generator.
-    """
+                   hidden: Sequence[int] = DEFAULT_HIDDEN,
+                   lr: float = DEFAULT_LR) -> TrainResult:
+    """Train an unmodified classifier with full-batch Adam steps: each step
+    uses the whole train split."""
     X = dataset.train_features
     y = dataset.train_labels
     net = MlpClassifier([dataset.d, *hidden, 1], seed=seed)
     state = AdamState(lr=lr)
-    rng = np.random.default_rng(seed)
     losses = np.empty(steps)
     for step in range(steps):
-        if batch_size is None:
-            bx, by = X, y
-        else:
-            pick = rng.choice(X.shape[0], size=min(batch_size, X.shape[0]), replace=False)
-            bx, by = X[pick], y[pick]
-        loss = net.bce_loss(bx, by)
+        loss = net.bce_loss(X, y)
         if not np.isfinite(loss):
             raise TrainingDiverged(step)
         losses[step] = loss
-        grad = net.grad_params_bce(bx, by)
+        grad = net.grad_params_bce(X, y)
         net.set_flat(adam_step(state, net.flatten(), grad))
     return TrainResult(model=net, loss_trace=losses)
 

@@ -72,11 +72,11 @@ class TestImplicitJacobian:
         if pinned.any():
             assert np.all(est.matrix[pinned] == 0.0)
 
-    def test_diagonal_mode(self, tiny_ds, tiny_net, tiny_search):
+    def test_diagonal_mode(self, tiny_ds, tiny_net, tiny_search, monkeypatch):
         x, res, _ = tiny_search
+        monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", 0)
         est = implicit_jacobian(tiny_net, x, CfObjective("wachter"), res.x_cf,
-                                tiny_ds, lam=res.final_lam,
-                                mode="diagonal-approximation")
+                                tiny_ds, lam=res.final_lam)
         assert est.mode == "diagonal-approximation"
         assert np.isfinite(est.matrix).all()
 
@@ -93,8 +93,7 @@ class TestImplicitJacobian:
         x_cf = x + np.array([0.7, -0.6])
         obj = CfObjective("wachter", lam=0.0)
         with pytest.raises(HessianConditionError):
-            implicit_jacobian(tiny_net, x, obj, x_cf, tiny_ds, lam=0.0,
-                              mode="full-inverse")
+            implicit_jacobian(tiny_net, x, obj, x_cf, tiny_ds, lam=0.0)
 
     def test_coordinate_within_fd_step_stays_pinned(self, synth_small, baseline_small):
         # A coordinate closer to the query than one finite-difference step
@@ -109,9 +108,9 @@ class TestImplicitJacobian:
         near = res.x_cf.copy()
         near[j] += 5e-5
         at_kink = adversary._implicit_system(baseline_small, x, obj, res.x_cf, synth_small,
-                                             lam=res.final_lam, mode="auto")
+                                             lam=res.final_lam)
         off_kink = adversary._implicit_system(baseline_small, x, obj, near, synth_small,
-                                              lam=res.final_lam, mode="auto")
+                                              lam=res.final_lam)
         assert np.array_equal(off_kink.free, at_kink.free)
         assert j not in off_kink.free
         assert off_kink.rcond == at_kink.rcond
@@ -119,19 +118,20 @@ class TestImplicitJacobian:
         assert np.all(est.matrix[j] == 0.0)
         assert est.hessian_rcond == at_kink.rcond
 
-    def test_auto_falls_back_to_diagonal(self, tiny_ds):
+    def test_auto_falls_back_to_diagonal(self, tiny_ds, monkeypatch):
         # one hidden unit: the candidate Hessian is rank one, so the full
         # inverse is refused while its diagonal is not
         net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
         x = tiny_ds.features[0]
         x_cf = x + np.array([0.3, -0.2])
         obj = CfObjective("wachter")
-        with pytest.raises(HessianConditionError):
-            implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0, mode="full-inverse")
+        system = adversary._implicit_system(net, x, obj, x_cf, tiny_ds, lam=4.0)
+        assert system.free.size == 2 <= adversary.FULL_INVERSE_MAX_DIM
+        assert 1.0 / np.linalg.cond(system.hessian) < adversary.RCOND_MIN
         auto = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
-        diagonal = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0,
-                                     mode="diagonal-approximation")
-        assert auto.mode == "diagonal-approximation"
+        monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", 0)
+        diagonal = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
+        assert auto.mode == diagonal.mode == "diagonal-approximation"
         assert auto.matrix.tobytes() == diagonal.matrix.tobytes()
 
     def test_stationarity_flag(self, tiny_ds, tiny_net):
@@ -208,11 +208,9 @@ def assert_close(got, want, rtol=1e-9):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
-@pytest.fixture(scope="module")
-def wide_ds(tmp_path_factory):
-    """Five features, so the implicit systems have off-diagonal structure."""
-    rng = np.random.default_rng(5)
-    d = 5
+def csv_dataset(directory, d, seed):
+    """Two label clusters in `d` standard-normal features, loaded from CSV."""
+    rng = np.random.default_rng(seed)
     label = rng.integers(0, 2, 120)
     feats = rng.standard_normal((120, d)) + np.where(label == 1, 1.0, -1.0)[:, None]
     group = rng.integers(0, 2, 120)
@@ -220,10 +218,16 @@ def wide_ds(tmp_path_factory):
     lines = [",".join(names + ["group", "label"])]
     lines += [",".join(map(repr, row.tolist())) + f",{g},{y}"
               for row, g, y in zip(feats, group, label)]
-    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    path = directory / "data.csv"
     path.write_text("\n".join(lines) + "\n")
     schema = rl.CsvSchema(label="label", protected_column="group", features=names)
     return rl.load_csv(path, schema, seed=0)
+
+
+@pytest.fixture(scope="module")
+def wide_ds(tmp_path_factory):
+    """Five features, so the implicit systems have off-diagonal structure."""
+    return csv_dataset(tmp_path_factory.mktemp("wide"), d=5, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +269,7 @@ def planted_batch(ds, objective, seed):
     return origins, queries, results
 
 
-def dense_mean_hypergradient(net, origins, queries, results, objective, ds, mode):
+def dense_mean_hypergradient(net, origins, queries, results, objective, ds):
     """Mean of v @ implicit_jacobian(...).matrix over the found results."""
     grads = []
     for origin, query, r in zip(origins, queries, results):
@@ -278,7 +282,7 @@ def dense_mean_hypergradient(net, origins, queries, results, objective, ds, mode
                 if objective.kind == "dice" else {})
         try:
             est = implicit_jacobian(net, query, objective, r.x_cf, ds, lam=r.final_lam,
-                                    mode=mode, **dice)
+                                    **dice)
         except HessianConditionError:
             grads.append(np.zeros(net.param_count))
             continue
@@ -287,33 +291,62 @@ def dense_mean_hypergradient(net, origins, queries, results, objective, ds, mode
 
 
 class TestBatchHypergradient:
-    @pytest.mark.parametrize("mode", ["full-inverse", "diagonal-approximation", "auto"])
+    # The limit on moved coordinates for each case: on these five-feature
+    # inputs the rule's own limit takes the full inverse for every point and
+    # 0 sends every point to the diagonal.  The points move 1 to 5
+    # coordinates, so a limit of 2 splits most batches between the branches
+    # ("auto"), and each point must take the branch implicit_jacobian takes.
+    LIMITS = {"full-inverse": None, "diagonal-approximation": 0, "auto": 2}
+
+    @pytest.mark.parametrize("branch", ["full-inverse", "diagonal-approximation", "auto"])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_matches_dense_jacobian(self, wide_ds, wide_net, kind, masked, mode):
+    def test_matches_dense_jacobian(self, wide_ds, wide_net, kind, masked, branch,
+                                    monkeypatch):
+        if self.LIMITS[branch] is not None:
+            monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", self.LIMITS[branch])
         mask = (True, False, True, True, False) if masked else None
         obj = CfObjective(kind, feature_mask=mask)
         origins, queries, results = planted_batch(wide_ds, obj, seed=len(kind))
         grad, counts = batch_hypergradient(wide_net, origins, queries, results, obj,
-                                           wide_ds, mode=mode)
-        dense = dense_mean_hypergradient(wide_net, origins, queries, results, obj,
-                                         wide_ds, mode)
+                                           wide_ds)
+        dense = dense_mean_hypergradient(wide_net, origins, queries, results, obj, wide_ds)
         assert np.linalg.norm(dense) > 0.0
         assert_close(grad, dense)
-        assert counts.full_inverse + counts.diagonal + counts.skipped == 3
-        if mode == "diagonal-approximation":
-            assert counts.full_inverse == 0
+        modes = [implicit_jacobian(wide_net, q, obj, r.x_cf, wide_ds, lam=r.final_lam,
+                                   **({"dice_candidates": r.candidates,
+                                       "dice_index": r.candidate_index}
+                                      if kind == "dice" else {})).mode
+                 for q, r in zip(queries[:3], results[:3])]
+        assert counts.full_inverse == modes.count("full-inverse")
+        assert counts.diagonal == modes.count("diagonal-approximation")
+        if branch != "auto":
+            assert modes == [branch] * 3
+        assert counts.skipped == 0
 
-    def test_auto_uses_diagonal_above_max_dim(self, wide_ds, wide_net, monkeypatch):
-        obj = CfObjective("wachter")
-        origins, queries, results = planted_batch(wide_ds, obj, seed=1)
-        monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", 1)
-        grad, counts = batch_hypergradient(wide_net, origins, queries, results, obj, wide_ds)
-        assert counts.full_inverse == 0 and counts.diagonal == 3
-        assert_close(grad, dense_mean_hypergradient(wide_net, origins, queries, results, obj,
-                                                    wide_ds, "diagonal-approximation"))
+    def test_auto_uses_diagonal_above_max_dim(self, tmp_path):
+        # One point moves exactly FULL_INVERSE_MAX_DIM coordinates, the other
+        # one more.  sparse-wachter's squared distance keeps both Hessians
+        # well conditioned, so only the count of moved coordinates decides.
+        max_dim = adversary.FULL_INVERSE_MAX_DIM
+        ds = csv_dataset(tmp_path, d=max_dim + 4, seed=6)
+        net = rl.train_baseline(ds, steps=30, seed=1, hidden=(8,)).model
+        obj = CfObjective("sparse-wachter")
+        rng = np.random.default_rng(3)
+        origins = ds.features[ds.test_idx[:2]]
+        results = []
+        for origin, moved in zip(origins, (max_dim, max_dim + 1)):
+            x_cf = origin.copy()
+            cols = rng.choice(ds.d, size=moved, replace=False)
+            x_cf[cols] += rng.choice([-1.0, 1.0], moved) * rng.uniform(0.1, 0.5, moved)
+            results.append(CfResult(x_cf=x_cf, valid=True, cost=1.0, iterations=1,
+                                    final_lam=2.0, initializer="origin", optimizer="adam"))
+        grad, counts = batch_hypergradient(net, origins, origins, results, obj, ds)
+        assert counts.full_inverse == 1 and counts.diagonal == 1 and counts.skipped == 0
+        assert_close(grad, dense_mean_hypergradient(net, origins, origins, results, obj, ds))
 
     def test_auto_fallback_after_refused_full_inverse(self, tiny_ds):
+        # one hidden unit: two moved coordinates, but a rank-one Hessian
         net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
         obj = CfObjective("wachter")
         origins = tiny_ds.features[:2]
@@ -323,10 +356,7 @@ class TestBatchHypergradient:
         grad, counts = batch_hypergradient(net, origins, origins, results, obj, tiny_ds)
         assert counts.full_inverse == 0 and counts.diagonal == 2 and counts.skipped == 0
         assert_close(grad, dense_mean_hypergradient(net, origins, origins, results, obj,
-                                                    tiny_ds, "diagonal-approximation"))
-        forced, counts = batch_hypergradient(net, origins, origins, results, obj, tiny_ds,
-                                             mode="full-inverse")
-        assert counts.skipped == 2 and np.all(forced == 0.0)
+                                                    tiny_ds))
 
     def test_refused_hessian_contributes_zero(self, tiny_ds, tiny_net, tiny_search):
         x, res, _ = tiny_search
@@ -342,7 +372,7 @@ class TestBatchHypergradient:
         alone, _ = batch_hypergradient(tiny_net, x[None], x[None], [res], obj, tiny_ds)
         assert_close(grad, alone / 2.0)
         assert_close(grad, dense_mean_hypergradient(tiny_net, origins, origins,
-                                                    [res, refused], obj, tiny_ds, "auto"))
+                                                    [res, refused], obj, tiny_ds))
 
     def test_nothing_to_differentiate_gives_zero(self, tiny_ds, tiny_net):
         obj = CfObjective("wachter")
@@ -515,8 +545,7 @@ class TestMergedPhase2:
         conditions = [(rows, rows), (rows, rows + self.DELTA)]
         conditions[empty] = (none, none)
         terms = adversary._search_terms(baseline_small, conditions, config.objective,
-                                        synth_small, config.initializer, config.budget,
-                                        "auto")
+                                        synth_small, config.initializer, config.budget)
         assert terms[empty].results == [] and terms[empty].not_found == 0
         assert math.isnan(terms[empty].mean_cost)
         assert not terms[empty].grad.any()

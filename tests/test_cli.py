@@ -65,6 +65,21 @@ class TestConfigParsing:
         # lam1 only weighs the dice objective
         parse_config({"explainer": {"kind": "wachter", "lam1": floor / 10}})
 
+    # Values the objective or the phase-2 subsample would reject mid-run.
+    @pytest.mark.parametrize("section, field, value", [
+        ("explainer", "k", 0), ("explainer", "lam", -1.0), ("explainer", "lam1", 0.0),
+        ("explainer", "lam2", -1.0), ("explainer", "beta", 0.0),
+        ("training", "subsample", -1)])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, field, value):
+        blob = tiny_config()
+        blob[section] = {**blob[section], field: value}
+        cfg = write_config(tmp_path, blob)
+        code = main(["attack", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{section}.{field}:" in err
+        assert not (tmp_path / "o").exists()
+
     def test_defaults_mirror_reference_protocol(self):
         config = parse_config({})
         assert config.model.hidden == [200, 200, 200, 200]

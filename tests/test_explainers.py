@@ -7,12 +7,57 @@ import recourselab as rl
 from recourselab import explainers
 from recourselab.explainers import (
     INITIALIZER_KINDS, OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
-    _initial_candidates, _objective_grads, _prototype_pool, batch_explain,
-    dice_loss, dist_prototype, dist_sparse, dist_wachter, find_counterfactual,
-    nearest_predicted_positive, results_to_csv, sensitivity_probe,
+    _initial_candidates, _objective_grads, _prototype_pool, _snap_to_query, batch_explain,
+    dist_wachter, find_counterfactual, nearest_predicted_positive, results_to_csv,
+    sensitivity_probe,
 )
 
 from conftest import negative_test_rows
+
+
+# Reference definitions of the objectives' distance and loss terms, written
+# one point at a time and independently of the batched kernel
+# `_objective_grads`, which `test_values_match_distance_functions` checks
+# against them.
+
+def dist_sparse(x, x_cf) -> float:
+    """Elastic-net style distance: l1 plus squared l2."""
+    x = np.asarray(x, dtype=float)
+    x_cf = np.asarray(x_cf, dtype=float)
+    if x.shape != x_cf.shape:
+        raise ValueError("vector lengths disagree")
+    diff = x - x_cf
+    return float(np.sum(np.abs(diff)) + np.sum(diff ** 2))
+
+
+def dist_prototype(x, x_cf, proto, beta: float = 1.0) -> float:
+    """Sparse distance pulled toward the nearest positively classified point."""
+    x = np.asarray(x, dtype=float)
+    x_cf = np.asarray(x_cf, dtype=float)
+    proto = np.asarray(proto, dtype=float)
+    diff = x - x_cf
+    return float(beta * np.sum(np.abs(diff)) + np.sum(diff ** 2)
+                 + np.sum((x_cf - proto) ** 2))
+
+
+def dice_loss(model, x, candidates, mad, lam1: float, lam2: float) -> float:
+    """Hinge validity over k candidates plus weighted proximity minus diversity."""
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    k = candidates.shape[0]
+    if k == 0:
+        raise ValueError("dice needs at least one candidate")
+    x = np.asarray(x, dtype=float)
+    mad = np.asarray(mad, dtype=float)
+    logits = np.atleast_1d(model.logits(candidates))
+    hinge = np.maximum(0.0, 1.0 - logits).sum()
+    proximity = sum(dist_wachter(x, c, mad) for c in candidates)
+    diversity = 0.0
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            diversity += dist_wachter(candidates[i], candidates[j], mad)
+    return float(hinge + (lam1 / k) * proximity - (lam2 / k ** 2) * diversity)
+
+
 
 
 class TestDistances:
@@ -89,6 +134,54 @@ class TestNearestPositive:
         for p, proto in zip(pts, protos):
             d = ((pos - p) ** 2).sum(axis=1)
             assert np.allclose(proto, pos[np.argmin(d)])
+
+
+class TestSnapToQuery:
+    BUDGET = SearchBudget(lr=0.01)
+
+    @staticmethod
+    def _net(w0, w1):
+        net = rl.MlpClassifier([2, 1], seed=0)
+        net.set_flat(np.array([w0, w1, 0.0]))  # logit(x) = w0 x0 + w1 x1
+        return net
+
+    def _snap(self, net, query, C):
+        C = np.asarray(C, dtype=float)
+        n, k, d = C.shape
+        probs = net.forward(C.reshape(n * k, d)).reshape(n, k)
+        queries = np.asarray(query, dtype=float)[None, :].repeat(n, axis=0)
+        return _snap_to_query(net, queries, C.copy(), probs, self.BUDGET)
+
+    def test_coordinates_within_lr_land_on_query(self):
+        net = self._net(0.0, 10.0)                 # accepts x1 > 0
+        query = [1.0, -2.0]
+        C = [[[1.0 + 0.004, 0.5]], [[1.0 - 0.008, 0.4]], [[1.02, -2.0 + 2.5]]]
+        snapped, probs = self._snap(net, query, C)
+        assert snapped[0, 0].tolist() == [1.0, 0.5]
+        assert snapped[1, 0].tolist() == [1.0, 0.4]
+        assert snapped[2, 0].tolist() == [1.02, 0.5]
+        assert np.array_equal(probs, net.forward(snapped[:, 0]).reshape(3, 1))
+
+    def test_snap_the_model_rejects_is_reverted(self):
+        net = self._net(1000.0, 0.0)               # accepts x0 > 0
+        query = [0.0, 0.0]
+        # two dice slots: the first stays valid only off the query, the
+        # second is valid either way
+        C = np.array([[[0.005, 0.3], [0.5, 0.002]]])
+        raw_probs = net.forward(C[0])
+        snapped, probs = self._snap(net, query, C)
+        assert snapped[0, 0].tobytes() == C[0, 0].tobytes()
+        assert probs[0, 0] == raw_probs[0] > 0.5
+        assert snapped[0, 1].tolist() == [0.5, 0.0]
+        assert probs[0, 1] > 0.5
+
+    def test_rejected_raw_point_takes_the_snap(self):
+        net = self._net(1000.0, 0.0)
+        query = [0.0, 0.0]
+        C = [[[-0.005, 0.3]]]                      # rejected before and after
+        snapped, probs = self._snap(net, query, C)
+        assert snapped[0, 0].tolist() == [0.0, 0.3]
+        assert probs[0, 0] == net.forward(np.array([0.0, 0.3])) <= 0.5
 
 
 class TestFindCounterfactual:
