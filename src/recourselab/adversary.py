@@ -31,7 +31,8 @@ import numpy as np
 from . import explainers
 from .data import Dataset
 from .explainers import CfObjective, Initializer, SearchBudget
-from .model import AdamState, MlpClassifier, TrainingDiverged, adam_step, load_model, save_model
+from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, adam_step,
+                    load_model, save_model)
 
 STATIONARITY_TOL = 1e-2
 HESSIAN_FD_STEP = 1e-4
@@ -339,7 +340,10 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
     Per step: cross entropy on the train split, a squared push making
     perturbed non-protected negatives look accepted, and the MAD-weighted
     l1 size of the perturbation.  Both variables take Adam steps
-    simultaneously; the perturbation starts at zero.
+    simultaneously; the perturbation starts at zero.  Each of the two
+    batches gets one forward pass per step, which yields its loss and
+    gradients; the backward passes overwrite that pass's hidden activations.
+    Non-finite activations or loss raise TrainingDiverged.
 
     The push set is the label-negative non-protected train rows: a fixed
     target the parameters cannot drain by re-predicting (audits slice by
@@ -364,17 +368,17 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
     delta_l1 = np.empty(config.steps)
 
     for step in range(config.steps):
-        B = X_np + delta
-        bce = net.bce_loss(X, y)
-        g_theta = config.bce_weight * net.grad_params_bce(X, y)
-        g_delta = np.zeros(dataset.d)
-        push = 0.0
-        if B.shape[0]:
-            push = net.squared_push_loss(B)
-            g_theta += config.counterfactual_weight * net.grad_params_squared_push(B)
-            gin, probs, _ = net.grad_input_full(B, wrt="prob")
-            g_delta += config.counterfactual_weight * np.mean(
-                2.0 * (probs - 1.0)[:, None] * gin, axis=0)
+        try:
+            bce, g_bce = net.bce_loss_and_grad(X, y)
+            g_theta = config.bce_weight * g_bce
+            g_delta = np.zeros(dataset.d)
+            push = 0.0
+            if X_np.shape[0]:
+                push, g_push, g_rows = net.squared_push_loss_and_grads(X_np + delta)
+                g_theta += config.counterfactual_weight * g_push
+                g_delta += config.counterfactual_weight * np.mean(g_rows, axis=0)
+        except NumericError:
+            raise TrainingDiverged(step) from None
         size = float(np.sum(np.abs(delta) / dataset.mad))
         g_delta += config.delta_size_weight * np.sign(delta) / dataset.mad
         g_delta[~mutable] = 0.0
@@ -491,7 +495,10 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         if not_found / total > config.abort_not_found_rate:
             raise Phase2Aborted(not_found / total, step)
 
-        bce = net.bce_loss(X, y)
+        if step == config.steps:    # the last evaluation takes no step
+            bce = net.bce_loss(X, y)
+        else:
+            bce, g_bce = net.bce_loss_and_grad(X, y)
         disparity = pr_clean_cost - np_clean_cost
         objective_value = (config.bce_weight * bce
                            + config.np_cost_weight * np_delta_cost
@@ -516,8 +523,7 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
 
         if step == config.steps:
             break
-        grad = config.bce_weight * net.grad_params_bce(X, y) \
-            + config.np_cost_weight * np_delta.grad
+        grad = config.bce_weight * g_bce + config.np_cost_weight * np_delta.grad
         if np.isfinite(disparity):
             grad = grad + config.disparity_weight * 2.0 * disparity * (
                 pr_clean.grad - np_clean.grad)

@@ -243,6 +243,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("training steps: must be non-negative")
     if tr.subsample < 1:
         raise ConfigError("training.subsample: must be positive")
+    if tr.lr <= 0:
+        raise ConfigError("training.lr: must be positive")
+    for name in ("bce_weight", "counterfactual_weight", "delta_size_weight",
+                 "np_cost_weight", "disparity_weight"):
+        if getattr(tr, name) < 0:
+            raise ConfigError(f"training.{name}: must be non-negative")
     if config.sweep is not None:
         if config.sweep.axis not in ("initializer", "mask-size", "width"):
             raise ConfigError(f"sweep.axis: unknown axis {config.sweep.axis!r}")

@@ -5,6 +5,12 @@ gradients (with respect to parameters and to inputs) are exact reverse-mode
 passes written against numpy, so they can be validated against central finite
 differences and reused by the counterfactual search and the adversarial
 trainer.
+
+The trainers get a loss and its gradients from one forward pass per batch
+(`bce_loss_and_grad`, `squared_push_loss_and_grads`).  Every backward pass
+overwrites the hidden activations of its own forward pass with the tanh
+slopes 1 - a^2, which nothing reads afterwards; the caller's input is never
+written.
 """
 
 from __future__ import annotations
@@ -54,6 +60,24 @@ def _clip_prob(p: np.ndarray) -> np.ndarray:
     maximum-then-minimum, nan kept, without `np.clip`'s call overhead."""
     np.maximum(p, PROB_CLIP, out=p)
     return np.minimum(p, 1.0 - PROB_CLIP, out=p)
+
+
+def _bce(p: np.ndarray, y) -> float:
+    """Mean binary cross entropy of clipped probabilities `p` against `y`."""
+    p = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    y = np.asarray(y, dtype=float)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def _squared_push(p: np.ndarray) -> float:
+    """Mean (p - 1)^2 of clipped probabilities `p`."""
+    return float(np.mean((p - 1.0) ** 2))
+
+
+def _tanh_slope(a: np.ndarray) -> np.ndarray:
+    """1 - a^2 written into the spent activation `a`."""
+    np.square(a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
 class MlpClassifier:
@@ -176,13 +200,17 @@ class MlpClassifier:
             g = np.ones((X.shape[0], 1))
         else:
             raise ValueError(f"unknown wrt {wrt!r}")
+        for a in acts[1:]:
+            _tanh_slope(a)
+        return self._input_grad_from_slopes(acts, g), _clip_prob(p), z
+
+    def _input_grad_from_slopes(self, slopes, g: np.ndarray) -> np.ndarray:
+        """Chain per-row output gradients `g` (n x 1) to the inputs through
+        the tanh slopes held in `slopes[1:]`."""
         for i in range(len(self.weights) - 1, 0, -1):
             g = g @ self.weights[i].T
-            # 1 - a^2 overwrites the hidden activation, which nothing reads after
-            da = np.square(acts[i], out=acts[i])
-            g *= np.subtract(1.0, da, out=da)
-        g = g @ self.weights[0].T
-        return g, _clip_prob(p), z
+            g *= slopes[i]
+        return g @ self.weights[0].T
 
     def grad_input(self, x, wrt: str = "prob"):
         X, single = self._as_batch(x)
@@ -191,7 +219,11 @@ class MlpClassifier:
 
     # -- gradients with respect to the parameters ----------------------------
     def _grad_params_from_dz(self, acts, dz: np.ndarray) -> np.ndarray:
-        """Backpropagate per-row output-logit gradients into a flat vector."""
+        """Backpropagate per-row output-logit gradients into a flat vector.
+
+        Leaves the tanh slopes in `acts[1:]`, which the caller owns; `acts[0]`
+        is the caller's input and is not written.
+        """
         g = dz[:, None]
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
@@ -199,28 +231,33 @@ class MlpClassifier:
             grads_w[i] = acts[i].T @ g
             grads_b[i] = g.sum(axis=0)
             if i > 0:
-                g = (g @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+                g = g @ self.weights[i].T
+                g *= _tanh_slope(acts[i])
         parts = []
         for gw, gb in zip(grads_w, grads_b):
             parts.append(gw.ravel())
             parts.append(gb.ravel())
         return np.concatenate(parts)
 
-    def grad_params_bce(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of the mean binary cross entropy over the batch."""
+    def bce_loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """`bce_loss` and `grad_params_bce` from one forward pass; raises
+        NumericError on non-finite activations."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
         acts, z = self._forward(X, check=True)
         p = sigmoid(z)
-        return self._grad_params_from_dz(acts, (p - y) / X.shape[0])
+        grad = self._grad_params_from_dz(acts, (p - y) / X.shape[0])
+        return _bce(_clip_prob(p), y), grad
 
-    def grad_params_squared_push(self, X: np.ndarray, weights=None) -> np.ndarray:
-        """Gradient of mean (f(x) - 1)^2 over the batch.
+    def grad_params_bce(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of the mean binary cross entropy over the batch."""
+        return self.bce_loss_and_grad(X, y)[1]
 
-        With per-row `weights`, the gradient of sum_r weights[r] * (f(x_r) - 1)^2.
-        """
+    def _squared_push_pass(self, X: np.ndarray, weights):
+        """(parameter gradient, tanh slopes, unclipped probabilities) of the
+        squared push; see `grad_params_squared_push`."""
         X = np.asarray(X, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
@@ -228,7 +265,27 @@ class MlpClassifier:
         p = sigmoid(z)
         dz = 2.0 * (p - 1.0) * p * (1.0 - p)
         dz = dz / X.shape[0] if weights is None else dz * weights
-        return self._grad_params_from_dz(acts, dz)
+        return self._grad_params_from_dz(acts, dz), acts, p
+
+    def grad_params_squared_push(self, X: np.ndarray, weights=None) -> np.ndarray:
+        """Gradient of mean (f(x) - 1)^2 over the batch.
+
+        With per-row `weights`, the gradient of sum_r weights[r] * (f(x_r) - 1)^2.
+        """
+        return self._squared_push_pass(X, weights)[0]
+
+    def squared_push_loss_and_grads(self, X: np.ndarray):
+        """`squared_push_loss`, `grad_params_squared_push` and each row's input
+        gradient of (f(x_r) - 1)^2, from one forward pass.
+
+        The input gradients are `2 (f(x_r) - 1) grad_input(x_r)`; both backward
+        chains go through the same tanh slopes.  Raises NumericError on
+        non-finite activations.
+        """
+        grad, slopes, p = self._squared_push_pass(X, None)
+        g_in = self._input_grad_from_slopes(slopes, (p * (1.0 - p))[:, None])
+        probs = _clip_prob(p)
+        return _squared_push(probs), grad, 2.0 * (probs - 1.0)[:, None] * g_in
 
     def grad_params_hinge_logit(self, X: np.ndarray, weights=None) -> np.ndarray:
         """Gradient of mean max(0, 1 - logit(x)) over the batch.
@@ -245,12 +302,10 @@ class MlpClassifier:
 
     # -- losses ------------------------------------------------------------
     def bce_loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        p = np.clip(self.forward(np.asarray(X, dtype=float)), BCE_CLIP, 1.0 - BCE_CLIP)
-        y = np.asarray(y, dtype=float)
-        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        return _bce(self.forward(np.asarray(X, dtype=float)), y)
 
     def squared_push_loss(self, X: np.ndarray) -> float:
-        return float(np.mean((self.forward(np.asarray(X, dtype=float)) - 1.0) ** 2))
+        return _squared_push(self.forward(np.asarray(X, dtype=float)))
 
 
 def accuracy(model: MlpClassifier, X: np.ndarray, y: np.ndarray) -> float:
@@ -337,18 +392,20 @@ def train_baseline(dataset, steps: int = 50, seed: int = 0,
                    hidden: Sequence[int] = DEFAULT_HIDDEN,
                    lr: float = DEFAULT_LR) -> TrainResult:
     """Train an unmodified classifier with full-batch Adam steps: each step
-    uses the whole train split."""
+    uses the whole train split, in one forward pass."""
     X = dataset.train_features
     y = dataset.train_labels
     net = MlpClassifier([dataset.d, *hidden, 1], seed=seed)
     state = AdamState(lr=lr)
     losses = np.empty(steps)
     for step in range(steps):
-        loss = net.bce_loss(X, y)
+        try:
+            loss, grad = net.bce_loss_and_grad(X, y)
+        except NumericError:
+            raise TrainingDiverged(step) from None
         if not np.isfinite(loss):
             raise TrainingDiverged(step)
         losses[step] = loss
-        grad = net.grad_params_bce(X, y)
         net.set_flat(adam_step(state, net.flatten(), grad))
     return TrainResult(model=net, loss_trace=losses)
 

@@ -14,6 +14,7 @@ from recourselab.adversary import (
     phase1_fit, phase2_fit, save_artifact,
 )
 from recourselab.explainers import OBJECTIVE_KINDS, CfObjective, CfResult, Initializer, SearchBudget
+from recourselab.model import AdamState, TrainingDiverged, adam_step
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +391,65 @@ def mini_phase1(steps=300, seed=2):
                         delta_size_weight=0.25)
 
 
+def reference_phase1(dataset, config):
+    """Phase one with one public model call per loss and gradient."""
+    net = rl.MlpClassifier([dataset.d, *config.hidden, 1], seed=config.seed)
+    delta = np.zeros(dataset.d)
+    mutable = (np.ones(dataset.d, dtype=bool) if config.feature_mask is None
+               else np.asarray(config.feature_mask, dtype=bool))
+    X, y = dataset.train_features, dataset.train_labels
+    tr = dataset.train_idx
+    X_np = dataset.features[tr[(~dataset.protected[tr]) & (dataset.labels[tr] == 0)]]
+    theta_state, delta_state = AdamState(lr=config.lr), AdamState(lr=config.lr)
+    losses, delta_l1 = [], []
+    for _ in range(config.steps):
+        B = X_np + delta
+        bce = net.bce_loss(X, y)
+        g_theta = config.bce_weight * net.grad_params_bce(X, y)
+        g_delta = np.zeros(dataset.d)
+        push = 0.0
+        if B.shape[0]:
+            push = net.squared_push_loss(B)
+            g_theta += config.counterfactual_weight * net.grad_params_squared_push(B)
+            gin, probs, _ = net.grad_input_full(B, wrt="prob")
+            g_delta += config.counterfactual_weight * np.mean(
+                2.0 * (probs - 1.0)[:, None] * gin, axis=0)
+        size = float(np.sum(np.abs(delta) / dataset.mad))
+        g_delta += config.delta_size_weight * np.sign(delta) / dataset.mad
+        g_delta[~mutable] = 0.0
+        losses.append(config.bce_weight * bce + config.counterfactual_weight * push
+                      + config.delta_size_weight * size)
+        delta_l1.append(np.sum(np.abs(delta)))
+        net.set_flat(adam_step(theta_state, net.flatten(), g_theta))
+        delta = adam_step(delta_state, delta, g_delta)
+        delta[~mutable] = 0.0
+    return net, delta, np.array(losses), np.array(delta_l1)
+
+
 class TestPhase1:
+    @pytest.mark.parametrize("mask", [None, (True, False)])
+    @pytest.mark.parametrize("push_set", ["nonempty", "empty"])
+    def test_matches_reference_loop_bitwise(self, synth_small, mask, push_set):
+        ds = synth_small
+        if push_set == "empty":     # every label-negative row protected
+            ds = dataclasses.replace(ds, protected=ds.labels == 0)
+        cfg = mini_phase1(steps=25)
+        cfg.feature_mask = mask
+        out = phase1_fit(ds, cfg)
+        net, delta, losses, delta_l1 = reference_phase1(ds, cfg)
+        assert out.model.flatten().tobytes() == net.flatten().tobytes()
+        assert out.delta.tobytes() == delta.tobytes()
+        assert out.loss_trace.tobytes() == losses.tobytes()
+        assert out.delta_l1_trace.tobytes() == delta_l1.tobytes()
+
+    def test_non_finite_activations_report_step(self, synth_small):
+        raw = synth_small.features.copy()
+        raw[synth_small.train_idx[0], 0] = np.nan
+        poisoned = dataclasses.replace(synth_small, features=raw)
+        with pytest.raises(TrainingDiverged) as err:
+            phase1_fit(poisoned, mini_phase1(steps=5))
+        assert err.value.step == 0
+
     def test_zero_steps_keeps_zero_delta(self, synth_small):
         out = phase1_fit(synth_small, mini_phase1(steps=0))
         assert np.all(out.delta == 0.0)
@@ -433,7 +492,59 @@ def mini_phase2(steps=2, subsample=12):
                         budget=SearchBudget(steps=150))
 
 
+def reference_phase2(model, delta, dataset, config):
+    """Phase two with one public model call per loss and gradient: the step
+    records' (bce, objective, costs, constraint) and the kept parameters."""
+    net = model.clone()
+    X, y = dataset.train_features, dataset.train_labels
+    slices = dataset.group_slices(net, split="train")
+    rng = np.random.default_rng(config.seed)
+    rows = []
+    for role in ("protected-neg", "nonprotected-neg"):
+        idx = slices[role].indices
+        if idx.size > config.subsample:
+            idx = np.sort(rng.choice(idx, size=config.subsample, replace=False))
+        rows.append(dataset.features[idx])
+    pr, np_ = rows
+    state = AdamState(lr=config.lr)
+    records, best_flat, best_objective = [], None, np.inf
+    for step in range(config.steps + 1):
+        pr_clean, np_clean, np_delta = adversary._search_terms(
+            net, [(pr, pr), (np_, np_), (np_, np_ + delta)], config.objective, dataset,
+            config.initializer, config.budget)
+        bce = net.bce_loss(X, y)
+        disparity = pr_clean.mean_cost - np_clean.mean_cost
+        objective = (config.bce_weight * bce + config.np_cost_weight * np_delta.mean_cost
+                     + config.disparity_weight * disparity ** 2)
+        ok = bool(np.isfinite(np_delta.mean_cost) and np.isfinite(pr_clean.mean_cost)
+                  and np_delta.mean_cost < pr_clean.mean_cost)
+        records.append((bce, float(objective), np_delta.mean_cost, np_clean.mean_cost,
+                        pr_clean.mean_cost, ok))
+        if ok and objective < best_objective:
+            best_objective, best_flat = objective, net.flatten()
+        if step == config.steps:
+            break
+        grad = config.bce_weight * net.grad_params_bce(X, y) \
+            + config.np_cost_weight * np_delta.grad
+        if np.isfinite(disparity):
+            grad = grad + config.disparity_weight * 2.0 * disparity * (
+                pr_clean.grad - np_clean.grad)
+        net.set_flat(adam_step(state, net.flatten(), grad))
+    if best_flat is not None:
+        net.set_flat(best_flat)
+    return net, records
+
+
 class TestPhase2:
+    def test_matches_reference_loop_bitwise(self, synth_small, baseline_small):
+        delta = np.array([0.3, -0.2])
+        cfg = mini_phase2(steps=2)
+        art = phase2_fit(baseline_small, delta, synth_small, cfg)
+        net, records = reference_phase2(baseline_small, delta, synth_small, cfg)
+        assert [(s.bce, s.objective, s.np_delta_cost, s.np_clean_cost, s.pr_clean_cost,
+                 s.constraint_ok) for s in art.phase2_steps] == records
+        assert art.model.flatten().tobytes() == net.flatten().tobytes()
+
     def test_zero_steps_keeps_model(self, synth_small, baseline_small):
         delta = np.array([0.2, -0.1])
         art = phase2_fit(baseline_small, delta, synth_small, mini_phase2(steps=0))

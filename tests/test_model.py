@@ -3,7 +3,7 @@ import pytest
 
 import recourselab as rl
 from recourselab.model import (
-    PROB_CLIP, AdamState, MlpClassifier, MomentumState, TrainingDiverged, accuracy,
+    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, MomentumState, TrainingDiverged, accuracy,
     adam_step, load_model, save_model, sgd_momentum_step, sigmoid, train_baseline,
 )
 
@@ -254,6 +254,66 @@ class TestInPlaceKernelsBitIdentical:
                 assert np.array_equal(got_z, z)
             assert np.array_equal(X, X_before)
 
+    def _textbook_grad_params(self, net, acts, dz):
+        g, grads = dz[:, None], []
+        for i in range(len(net.weights) - 1, -1, -1):
+            grads.insert(0, (acts[i].T @ g, g.sum(axis=0)))
+            if i > 0:
+                g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+        return np.concatenate([part.ravel() for pair in grads for part in pair])
+
+    def _textbook_grad_input(self, net, acts, g):
+        for i in range(len(net.weights) - 1, 0, -1):
+            g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+        return g @ net.weights[0].T
+
+    # gain 40 saturates the output, so the probability clips come into play
+    @pytest.mark.parametrize("gain", [1.0, 40.0])
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0])
+    def test_parameter_gradients_and_fused_losses(self, scale, gain):
+        rng = np.random.default_rng(8)
+        net = MlpClassifier([3, 16, 8, 1], seed=4)
+        net.weights[-1] *= gain
+        n = 40
+        X = rng.normal(size=(n, 3)) * scale
+        y = (rng.random(n) < 0.5).astype(float)
+        weights = rng.random(n)
+        X_before = X.copy()
+        acts, z = self._textbook_forward(net, X)
+        p = _sigmoid_two_formulas(z)
+        clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+        assert gain == 1.0 or not np.array_equal(clipped, p)
+
+        bce_dz = (p - y) / n
+        bce_grad = self._textbook_grad_params(net, acts, bce_dz)
+        pb = np.clip(clipped, BCE_CLIP, 1.0 - BCE_CLIP)
+        bce = float(-np.mean(y * np.log(pb) + (1.0 - y) * np.log(1.0 - pb)))
+        assert np.array_equal(net.grad_params_bce(X, y), bce_grad)
+        assert net.bce_loss(X, y) == bce
+        got_bce, got_bce_grad = net.bce_loss_and_grad(X, y)
+        assert got_bce == bce and np.array_equal(got_bce_grad, bce_grad)
+
+        push_dz = 2.0 * (p - 1.0) * p * (1.0 - p)
+        push_grad = self._textbook_grad_params(net, acts, push_dz / n)
+        assert np.array_equal(net.grad_params_squared_push(X), push_grad)
+        assert np.array_equal(net.grad_params_squared_push(X, weights=weights),
+                              self._textbook_grad_params(net, acts, push_dz * weights))
+        push = float(np.mean((clipped - 1.0) ** 2))
+        rows = 2.0 * (clipped - 1.0)[:, None] * self._textbook_grad_input(
+            net, acts, (p * (1.0 - p))[:, None])
+        assert net.squared_push_loss(X) == push
+        got_push, got_push_grad, got_rows = net.squared_push_loss_and_grads(X)
+        assert got_push == push
+        assert np.array_equal(got_push_grad, push_grad)
+        assert np.array_equal(got_rows, rows)
+
+        active = (z < 1.0).astype(float)
+        assert np.array_equal(net.grad_params_hinge_logit(X),
+                              self._textbook_grad_params(net, acts, -active / n))
+        assert np.array_equal(net.grad_params_hinge_logit(X, weights=weights),
+                              self._textbook_grad_params(net, acts, -active * weights))
+        assert np.array_equal(X, X_before)
+
     def test_adam_steps(self):
         rng = np.random.default_rng(6)
         state, ref = AdamState(lr=0.05), AdamState(lr=0.05)
@@ -306,6 +366,17 @@ class TestTrainBaseline:
         trained = train_baseline(ds, steps=0, seed=5, hidden=(4,))
         fresh = MlpClassifier([ds.d, 4, 1], seed=5)
         assert trained.model.flatten().tobytes() == fresh.flatten().tobytes()
+
+    def test_matches_reference_loop_bitwise(self):
+        ds = rl.make_synthetic(50, seed=4)
+        trained = train_baseline(ds, steps=25, seed=3, hidden=(8, 8), lr=0.02)
+        X, y = ds.train_features, ds.train_labels
+        net, state, losses = MlpClassifier([ds.d, 8, 8, 1], seed=3), AdamState(lr=0.02), []
+        for _ in range(25):
+            losses.append(net.bce_loss(X, y))
+            net.set_flat(adam_step(state, net.flatten(), net.grad_params_bce(X, y)))
+        assert trained.model.flatten().tobytes() == net.flatten().tobytes()
+        assert trained.loss_trace.tobytes() == np.array(losses).tobytes()
 
     def test_divergence_reports_step(self):
         ds = rl.make_synthetic(20, seed=0)
