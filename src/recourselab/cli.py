@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -249,6 +250,8 @@ def validate_config(config: ExperimentConfig) -> None:
                  "np_cost_weight", "disparity_weight"):
         if getattr(tr, name) < 0:
             raise ConfigError(f"training.{name}: must be non-negative")
+    if not (math.isfinite(config.audit.tau) and config.audit.tau >= 0):
+        raise ConfigError("audit.tau: must be a finite non-negative number")
     if config.sweep is not None:
         if config.sweep.axis not in ("initializer", "mask-size", "width"):
             raise ConfigError(f"sweep.axis: unknown axis {config.sweep.axis!r}")

@@ -5,10 +5,12 @@ model output past 0.5 plus a distance term.  The weight on the validity term
 escalates geometrically whenever a fixed-step search ends invalid, and a
 momentum fallback rescues searches that freeze at their starting point.
 Spare batch rows run a query's next escalation levels speculatively; each
-query keeps the first level that succeeds.  One batch can carry several
-searches as segments of rows, each with its own cost reference per row and
-its own initializer draws: an audit and a phase-2 evaluation search their
-three conditions (protected, non-protected, non-protected + δ) in one call.
+query keeps the first level that succeeds.  How many rows a round aims for
+follows from what a row costs, read from the model's layer sizes (see
+`_row_target`).  One batch can carry several searches as segments of rows,
+each with its own cost reference per row and its own initializer draws: an
+audit and a phase-2 evaluation search their three conditions (protected,
+non-protected, non-protected + δ) in one call.
 """
 
 from __future__ import annotations
@@ -25,10 +27,16 @@ INITIALIZER_KINDS = ("origin", "random-uniform", "positive-mean", "gaussian-jitt
 
 RESULT_CSV_HEADER = ("index", "valid", "cost", "iterations", "lam", "initializer", "optimizer")
 
-# Rows one batched attempt aims to carry when speculating on λ levels.  At
-# desk scale a descent step costs about the same for 1 row as for 96, so
-# spare rows run the next escalation levels at little extra cost.
+# The fewest rows one batched attempt aims to carry when speculating on λ
+# levels, and about the number that keeps a 4x200 net's descent step busy.
 SEARCH_ROWS = 96
+
+# Multiply-adds that cost about as much as one descent step's fixed per-call
+# overhead.  On a 2-vCPU machine with one BLAS thread, a kernel call on a
+# 32x32 net (1,120 weights) took 77 µs for 1 row, 136 µs for 96 and 306 µs
+# for 384, while a row of a 4x200 net (140,000 weights) cost about 21 µs.
+# `_row_target` gives the first 468 rows and the second `SEARCH_ROWS`.
+STEP_MACS = 1 << 19
 
 # An Adam search that has moved no coordinate further than this after
 # `stall_window` steps is frozen at its start and reruns with momentum.
@@ -183,7 +191,11 @@ def _prototype_pool(model, dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
     pool, pool_sq = proto_pool
-    sq = (points ** 2).sum(axis=1)[:, None] - 2.0 * points @ pool.T + pool_sq
+    # |p|^2 - 2 p.q + |q|^2 in place; scaling by -2 is exact, so the sums
+    # carry the same bits as the textbook expression.
+    sq = (-2.0 * points) @ pool.T
+    sq += (points ** 2).sum(axis=1)[:, None]
+    sq += pool_sq
     return pool[np.argmin(sq, axis=1)]
 
 
@@ -466,6 +478,14 @@ def _lam_schedule(objective, budget):
     return [objective.lam * 2.0 ** j for j in range(budget.max_doublings + 1)]
 
 
+def _row_target(model) -> int:
+    """Rows a speculative round aims for: enough that a descent step's
+    multiply-adds match its fixed per-call overhead, and at least
+    `SEARCH_ROWS`.  It reads only the layer sizes, never a clock, so the
+    schedule is the same on every run."""
+    return max(SEARCH_ROWS, STEP_MACS // sum(w.size for w in model.weights))
+
+
 def _search_many(model, queries, objective, dataset, initializer, budget,
                  cost_reference, record_trace=False, segments=None) -> list[CfResult]:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -515,10 +535,11 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     # `width` schedule levels as extra rows of one batched attempt, and keeps
     # the first level that succeeds.  Attempts are independent restarts from
     # the same start, so the outcome is the sequential schedule's.
+    row_target = _row_target(model)
     level = 0
     while pending and level < len(schedule):
         width = min(len(schedule) - level,
-                    max(1, SEARCH_ROWS // (len(pending) * k)))
+                    max(1, row_target // (len(pending) * k)))
         lams = schedule[level:level + width]
         sub = np.array(pending)
         rows = np.repeat(sub, width)

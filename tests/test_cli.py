@@ -65,15 +65,17 @@ class TestConfigParsing:
         # lam1 only weighs the dice objective
         parse_config({"explainer": {"kind": "wachter", "lam1": floor / 10}})
 
-    # Values the objective or the phase-2 subsample would reject mid-run, and
-    # training values with which a run does nothing (lr 0) or ascends.
+    # Values the objective or the phase-2 subsample would reject mid-run,
+    # training values with which a run does nothing (lr 0) or ascends, and
+    # audit thresholds that would make every verdict unfair (or fair).
     @pytest.mark.parametrize("section, field, value", [
         ("explainer", "k", 0), ("explainer", "lam", -1.0), ("explainer", "lam1", 0.0),
         ("explainer", "lam2", -1.0), ("explainer", "beta", 0.0),
         ("training", "subsample", -1), ("training", "lr", -0.01), ("training", "lr", 0.0),
         ("training", "bce_weight", -1.0), ("training", "counterfactual_weight", -1.0),
         ("training", "delta_size_weight", -2.0), ("training", "np_cost_weight", -1.0),
-        ("training", "disparity_weight", -1.0)])
+        ("training", "disparity_weight", -1.0), ("audit", "tau", -0.5),
+        ("audit", "tau", float("nan")), ("audit", "tau", float("inf"))])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, field, value):
         blob = tiny_config()
         blob[section] = {**blob[section], field: value}

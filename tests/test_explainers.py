@@ -135,6 +135,28 @@ class TestNearestPositive:
             d = ((pos - p) ** 2).sum(axis=1)
             assert np.allclose(proto, pos[np.argmin(d)])
 
+    def test_choice_equals_textbook_expansion(self):
+        # The in-place |p|^2 - 2 p.q + |q|^2 keeps the textbook expression's
+        # bits, so near ties (a row nudged in its last bits) and exact ties
+        # (a row mirrored across a plane holding the points) resolve alike.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n, m, d = rng.integers(1, 7, size=3)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            points = scale * rng.standard_normal((n, d))
+            pool = scale * rng.standard_normal((m, d))
+            if rng.random() < 0.3:
+                points[:, 0] = 0.0
+            near = pool[np.argmin(((pool - points[0]) ** 2).sum(axis=1))]
+            twin = near * (1.0 + rng.integers(-4, 5, size=d) * np.finfo(float).eps)
+            mirror = near.copy()
+            mirror[0] = -mirror[0]
+            pool = np.vstack([pool, twin, mirror])
+            pool_sq = (pool ** 2).sum(axis=1)
+            textbook = (points ** 2).sum(axis=1)[:, None] - 2.0 * points @ pool.T + pool_sq
+            got = explainers._nearest_prototypes(points, (pool, pool_sq))
+            assert np.array_equal(got, pool[np.argmin(textbook, axis=1)])
+
 
 class TestSnapToQuery:
     BUDGET = SearchBudget(lr=0.01)
@@ -390,11 +412,27 @@ def _assert_same_results(got, want):
                 np.testing.assert_allclose(ta, tb, rtol=1e-9, atol=1e-12)
 
 
+def _count_rounds(monkeypatch) -> list:
+    """Rows of each batched attempt (one per round) while the patch holds."""
+    rounds = []
+    run_attempt = explainers._run_attempt
+    monkeypatch.setattr(explainers, "_run_attempt",
+                        lambda *a: rounds.append(a[1].shape[0]) or run_attempt(*a))
+    return rounds
+
+
 def _sequential(monkeypatch, search, *args, **kwargs):
-    """`search` with one λ level per attempt: the reference schedule."""
+    """`search` with one λ level per round: the reference schedule.
+
+    Checks that it ran so: as many batched attempts as the longest
+    escalation took levels."""
     with monkeypatch.context() as m:
-        m.setattr(explainers, "SEARCH_ROWS", 1)
-        return search(*args, **kwargs)
+        m.setattr(explainers, "_row_target", lambda model: 1)
+        rounds = _count_rounds(m)
+        out = search(*args, **kwargs)
+    results = out.results if hasattr(out, "results") else [out]
+    assert len(rounds) == max((len(r.lam_attempts) for r in results), default=0)
+    return out
 
 
 class TestSpeculativeEscalation:
@@ -497,6 +535,51 @@ class TestSpeculativeEscalation:
         calls.clear()
         find_counterfactual(*args)
         assert len(calls) <= self.BUDGET.steps + 1
+
+
+class TestRowTarget:
+    """How many rows a speculative round aims for, read from the layer sizes."""
+
+    def test_reads_only_layer_sizes(self):
+        a = rl.MlpClassifier([2, 32, 32, 1], seed=0)
+        b = rl.MlpClassifier([2, 32, 32, 1], seed=5)
+        b.set_flat(np.zeros(b.param_count))
+        assert explainers._row_target(a) == explainers._row_target(b)
+
+        class Shapes:
+            weights = [np.empty((2, 32)), np.empty((32, 32)), np.empty((32, 1))]
+
+        assert explainers._row_target(Shapes()) == explainers._row_target(a)
+
+    def test_full_scale_net_keeps_search_rows(self):
+        net = rl.MlpClassifier([99, 200, 200, 200, 200, 1], seed=0)
+        assert explainers._row_target(net) == explainers.SEARCH_ROWS
+
+    def test_desk_net(self):
+        assert explainers._row_target(rl.MlpClassifier([2, 32, 32, 1], seed=0)) == 468
+
+
+@pytest.fixture(scope="module")
+def desk_audit():
+    """A desk baseline (32x32 net) and 80 of its negatives, an audit-sized
+    batch: with 96 rows a round, each query would get one level per round."""
+    ds = rl.make_synthetic(250, seed=7)
+    net = rl.train_baseline(ds, steps=50, seed=1, hidden=(32, 32)).model
+    rows = np.flatnonzero(np.asarray(net.forward(ds.features)) <= 0.5)[:80]
+    return ds, net, ds.features[rows]
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
+    ds, net, X = desk_audit
+    assert len(X) >= 76 and explainers.SEARCH_ROWS // len(X) == 1
+    init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
+    args = (net, X, CfObjective(kind), ds, init, SearchBudget(steps=100))
+    want = _sequential(monkeypatch, batch_explain, *args).results
+    rounds = _count_rounds(monkeypatch)
+    got = batch_explain(*args).results
+    assert len(rounds) < max(len(r.lam_attempts) for r in want)
+    _assert_same_results(got, want)
 
 
 @pytest.mark.parametrize("origin_valid", [False, True])
