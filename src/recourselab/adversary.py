@@ -39,6 +39,9 @@ HESSIAN_FD_STEP = 1e-4
 RCOND_MIN = 1e-10
 FULL_INVERSE_MAX_DIM = 20
 DIAG_MIN = 1e-12
+# Phase two stops when the search finds no counterfactual for more than this
+# share of a step's audit points: the explainer cannot audit the model.
+ABORT_NOT_FOUND_RATE = 0.5
 
 
 class HessianConditionError(RuntimeError):
@@ -114,7 +117,7 @@ def _implicit_system(model, x, objective, x_cf, dataset, *, lam, dice_candidates
     dm = free.size
     bumps = HESSIAN_FD_STEP * np.eye(d)[free]
     rows = np.concatenate([x_cf + bumps, x_cf - bumps])
-    grads, _ = explainers.objective_grad_x_rows(
+    grads = explainers.objective_grad_x_rows(
         model, x, np.vstack([x_cf, rows]), objective, dataset, lam=lam,
         dice_candidates=dice_candidates, dice_index=dice_index, proto_pool=proto_pool)
     stationarity = float(np.max(np.abs(grads[0, free]))) if dm else 0.0
@@ -413,7 +416,6 @@ class Phase2Config:
     bce_weight: float = 1.0
     np_cost_weight: float = 1.0
     disparity_weight: float = 1.0
-    abort_not_found_rate: float = 0.5
 
 
 @dataclass
@@ -492,7 +494,7 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         pr_clean_cost = pr_clean.mean_cost
         total = max(sum(len(t.results) for t in terms), 1)
         not_found = sum(t.not_found for t in terms)
-        if not_found / total > config.abort_not_found_rate:
+        if not_found / total > ABORT_NOT_FOUND_RATE:
             raise Phase2Aborted(not_found / total, step)
 
         if step == config.steps:    # the last evaluation takes no step

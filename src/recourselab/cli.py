@@ -147,7 +147,14 @@ def _coerce(value, annotation: str, where: str):
     if annotation.startswith("float"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number")
-        return float(value)
+        # JSON admits NaN, Infinity and integers past the float range
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: must be a finite number")
+        return number
     if annotation.startswith("bool"):
         if not isinstance(value, bool):
             raise ConfigError(f"{where}: expected true/false")
@@ -250,8 +257,8 @@ def validate_config(config: ExperimentConfig) -> None:
                  "np_cost_weight", "disparity_weight"):
         if getattr(tr, name) < 0:
             raise ConfigError(f"training.{name}: must be non-negative")
-    if not (math.isfinite(config.audit.tau) and config.audit.tau >= 0):
-        raise ConfigError("audit.tau: must be a finite non-negative number")
+    if not config.audit.tau >= 0:
+        raise ConfigError("audit.tau: must be non-negative")
     if config.sweep is not None:
         if config.sweep.axis not in ("initializer", "mask-size", "width"):
             raise ConfigError(f"sweep.axis: unknown axis {config.sweep.axis!r}")

@@ -11,13 +11,6 @@ import numpy as np
 
 TRAIN_FRACTION = 0.8
 
-GROUP_ROLES = (
-    "protected-neg",
-    "nonprotected-neg",
-    "protected-pos",
-    "nonprotected-pos",
-)
-
 _PREDICATE_OPS = {
     ">": np.greater,
     ">=": np.greater_equal,

@@ -1,16 +1,16 @@
 """Hill-climbing counterfactual search.
 
 Four objectives share one batched descent engine: a validity term pushing the
-model output past 0.5 plus a distance term.  The weight on the validity term
-escalates geometrically whenever a fixed-step search ends invalid, and a
-momentum fallback rescues searches that freeze at their starting point.
-Spare batch rows run a query's next escalation levels speculatively; each
-query keeps the first level that succeeds.  How many rows a round aims for
-follows from what a row costs, read from the model's layer sizes (see
-`_row_target`).  One batch can carry several searches as segments of rows,
-each with its own cost reference per row and its own initializer draws: an
-audit and a phase-2 evaluation search their three conditions (protected,
-non-protected, non-protected + δ) in one call.
+model output past 0.5 plus a distance term.  An attempt is a fixed number of
+Adam steps on the objective's gradient; the weight on the validity term
+escalates geometrically whenever an attempt ends invalid.  Spare batch rows
+run a query's next escalation levels speculatively; each query keeps the
+first level that succeeds.  How many rows a round aims for follows from what
+a row costs, read from the model's layer sizes (see `_row_target`).  One
+batch can carry several searches as segments of rows, each with its own cost
+reference per row and its own initializer draws: an audit and a phase-2
+evaluation search their three conditions (protected, non-protected,
+non-protected + δ) in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AdamState, MomentumState, adam_step, sgd_momentum_step
+from .model import AdamState, adam_step
 
 OBJECTIVE_KINDS = ("wachter", "sparse-wachter", "prototypes", "dice")
 INITIALIZER_KINDS = ("origin", "random-uniform", "positive-mean", "gaussian-jitter")
@@ -37,10 +37,6 @@ SEARCH_ROWS = 96
 # for 384, while a row of a 4x200 net (140,000 weights) cost about 21 µs.
 # `_row_target` gives the first 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
-
-# An Adam search that has moved no coordinate further than this after
-# `stall_window` steps is frozen at its start and reruns with momentum.
-STALL_TOL = 1e-8
 
 
 class ExplainError(RuntimeError):
@@ -101,7 +97,6 @@ class SearchBudget:
     lr: float = 0.01
     max_doublings: int = 20
     lam1_floor: float = 1e-3
-    stall_window: int = 50
 
 
 @dataclass
@@ -123,7 +118,6 @@ class CfResult:
     lam_attempts: tuple[float, ...] = ()
     candidates: np.ndarray | None = None
     candidate_index: int | None = None
-    objective_trace: np.ndarray | None = None
 
     @property
     def found(self) -> bool:
@@ -135,10 +129,6 @@ class BatchExplainResult:
     results: list[CfResult]
     mean_cost: float
     not_found: int
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([r.cost for r in self.results if r.valid])
 
     def split(self, segments) -> list["BatchExplainResult"]:
         """One summary per segment of the results (see `segment_slices`)."""
@@ -199,20 +189,16 @@ def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
     return pool[np.argmin(sq, axis=1)]
 
 
-# -- objective value/gradient kernels --------------------------------------------
+# -- objective gradient kernels ---------------------------------------------------
 
-def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
-                     with_value=True):
-    """Gradient, and value if `with_value`, of the search objective for a
-    batch of candidates.
+def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
+    """Gradient of the search objective for a batch of candidates.
 
     `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
     `lam` is the validity weight (dice: `lam1`), a scalar or one per query;
     each row's arithmetic is the same either way.  `proto_pool` is
-    `_prototype_pool`'s pair (prototypes only).
-    Returns (grad like C, value per query or None, probability per candidate).
-    The l1 pieces use the sign subgradient (0 at kinks).  The gradient's
-    arithmetic does not depend on `with_value`.
+    `_prototype_pool`'s pair (prototypes only).  Returns a gradient like `C`.
+    The l1 pieces use the sign subgradient (0 at kinks).
     """
     n, k, d = C.shape
     flat = C.reshape(n * k, d)
@@ -220,22 +206,13 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n,):
         lam = np.broadcast_to(lam, (n,))
-    value = None
 
     if objective.kind == "dice":
-        glog, probs, logits = model.grad_input_full(flat, wrt="logit")
+        glog, _, logits = model.grad_input_full(flat, wrt="logit")
         grad = glog.reshape(n, k, d)
-        probs = probs.reshape(n, k)
         logits = logits.reshape(n, k)
         lam1, lam2 = lam, objective.lam2
         pair = C[:, :, None, :] - C[:, None, :, :]
-        if with_value:
-            hinge = np.maximum(0.0, 1.0 - logits)
-            d_w = (np.abs(D) / mad).sum(axis=2)
-            pair_abs = (np.abs(pair) / mad).sum(axis=3)
-            value = (hinge.sum(axis=1)
-                     + (lam1 / k) * d_w.sum(axis=1)
-                     - (lam2 / k ** 2) * pair_abs.sum(axis=(1, 2)) / 2.0)
         # -active * glog + (lam1 / k) * sign(D) / mad - (lam2 / k^2) * sum_b pair_sign
         grad *= -(logits < 1.0).astype(float)[:, :, None]
         prox = np.sign(D)
@@ -247,30 +224,20 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
         div = pair_sign.sum(axis=2)
         div *= lam2 / k ** 2
         grad -= div
-        return grad, value, probs
+        return grad
 
     grad, probs, _ = model.grad_input_full(flat, wrt="prob")
     grad = grad.reshape(n, k, d)
-    probs = probs.reshape(n, k)
-    p = probs[:, 0]
-    pm1 = p - 1.0
-    grad *= ((2.0 * lam) * pm1)[:, None, None]          # gradient of the push
+    grad *= ((2.0 * lam) * (probs - 1.0))[:, None, None]   # gradient of the push
 
     if objective.kind == "wachter":
-        if with_value:
-            dist = (np.abs(D) / mad).sum(axis=(1, 2))
         gdist = np.sign(D)
         gdist /= mad
     elif objective.kind == "sparse-wachter":
-        if with_value:
-            dist = np.abs(D).sum(axis=(1, 2)) + (D ** 2).sum(axis=(1, 2))
         gdist = np.sign(D)
         gdist += 2.0 * D
     elif objective.kind == "prototypes":
         PD = C - _nearest_prototypes(flat, proto_pool).reshape(n, k, d)
-        if with_value:
-            dist = (objective.beta * np.abs(D).sum(axis=2) + (D ** 2).sum(axis=2)
-                    + (PD ** 2).sum(axis=2))[:, 0]
         gdist = np.sign(D)
         gdist *= objective.beta
         gdist += 2.0 * D
@@ -278,19 +245,17 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool,
     else:  # pragma: no cover
         raise ValueError(objective.kind)
     grad += gdist
-    if with_value:
-        value = lam * pm1 ** 2 + dist
-    return grad, value, probs
+    return grad
 
 
 def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
                           dice_candidates=None, dice_index=None, proto_pool=None):
-    """Candidate gradients and objective values at each row of `points`.
+    """Candidate gradients at each row of `points`, shape (n, d).
 
     One kernel call for all rows.  Each row stands in for the selected
     candidate; for dice that is slot `dice_index` of `dice_candidates`, the
     other candidates held fixed.  `proto_pool` defaults to
-    `_prototype_pool(model, dataset)`.  Returns (gradients (n, d), values (n,)).
+    `_prototype_pool(model, dataset)`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -304,9 +269,9 @@ def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
         C = points[:, None, :]
     if objective.kind == "prototypes" and proto_pool is None:
         proto_pool = _prototype_pool(model, dataset)
-    grad, value, _ = _objective_grads(model, queries, C, _lam_of(objective, lam),
-                                      objective, dataset.mad, proto_pool)
-    return grad[:, slot], value
+    grad = _objective_grads(model, queries, C, _lam_of(objective, lam), objective,
+                            dataset.mad, proto_pool)
+    return grad[:, slot]
 
 
 def objective_grad_params(model, query, candidate, objective, lam=None) -> np.ndarray:
@@ -381,70 +346,21 @@ def _random_starts(initializer, base, dataset):
 
 # -- descent engine -----------------------------------------------------------------
 
-@dataclass
-class _AttemptOutcome:
-    candidates: np.ndarray     # (n, k, d)
-    probs: np.ndarray          # (n, k)
-    steps_used: np.ndarray     # (n,)
-    fallback: np.ndarray       # (n,) bool, momentum rescue used
-    traces: list
-
-
-def _descend(model, queries, starts, lam, objective, mad, mutable, budget,
-             optimizer: str, proto_pool, record_trace: bool):
+def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
+    """One escalation attempt per row: `budget.steps` Adam steps from
+    `starts`, then the sparsity snap.  Returns (candidates (n, k, d),
+    probabilities (n, k))."""
     n, k, d = starts.shape
-    C = starts.copy()
-    if optimizer == "adam":
-        state, step_fn = AdamState(lr=budget.lr), adam_step
-    else:
-        state, step_fn = MomentumState(lr=budget.lr), sgd_momentum_step
-    trace = np.empty((budget.steps + 1, n)) if record_trace else None
+    C = starts
+    state = AdamState(lr=budget.lr)
     frozen = None if mutable.all() else ~mutable
-    stalled = np.zeros(n, dtype=bool)
-    # Objective values are computed only for the trace.
-    for step in range(budget.steps):
-        grad, value, _ = _objective_grads(model, queries, C, lam, objective, mad,
-                                          proto_pool, record_trace)
-        if record_trace:
-            trace[step] = value
+    for _ in range(budget.steps):
+        grad = _objective_grads(model, queries, C, lam, objective, mad, proto_pool)
         if frozen is not None:
             grad[:, :, frozen] = 0.0
-        C = step_fn(state, C, grad)
-        if optimizer == "adam" and step + 1 == budget.stall_window:
-            moved = np.abs(C - starts).reshape(n, -1).max(axis=1)
-            stalled = moved < STALL_TOL
-    _, value, probs = _objective_grads(model, queries, C, lam, objective, mad,
-                                       proto_pool, record_trace)
-    if record_trace:
-        trace[-1] = value
-    return C, probs, stalled, trace
-
-
-def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget,
-                 proto_pool, record_trace) -> _AttemptOutcome:
-    n = queries.shape[0]
-    C, probs, stalled, trace = _descend(
-        model, queries, starts, lam, objective, mad, mutable, budget, "adam",
-        proto_pool, record_trace)
-    steps_used = np.full(n, budget.steps)
-    fallback = np.zeros(n, dtype=bool)
-    traces = [None] * n
-    if record_trace:
-        traces = [trace[:, i].copy() for i in range(n)]
-    if stalled.any():
-        sub = np.flatnonzero(stalled)
-        C2, probs2, _, trace2 = _descend(
-            model, queries[sub], starts[sub], lam[sub], objective, mad, mutable, budget,
-            "sgd-momentum", proto_pool, record_trace)
-        C[sub] = C2
-        probs[sub] = probs2
-        steps_used[sub] += budget.steps
-        fallback[sub] = True
-        if record_trace:
-            for local, i in enumerate(sub):
-                traces[i] = trace2[:, local].copy()
-    C, probs = _snap_to_query(model, queries, C, probs, budget)
-    return _AttemptOutcome(C, probs, steps_used, fallback, traces)
+        C = adam_step(state, C, grad)
+    probs = model.forward(C.reshape(n * k, d)).reshape(n, k)
+    return _snap_to_query(model, queries, C, probs, budget)
 
 
 def _snap_to_query(model, queries, C, probs, budget):
@@ -487,7 +403,7 @@ def _row_target(model) -> int:
 
 
 def _search_many(model, queries, objective, dataset, initializer, budget,
-                 cost_reference, record_trace=False, segments=None) -> list[CfResult]:
+                 cost_reference, segments=None) -> list[CfResult]:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     n, d = queries.shape
     if d != dataset.d:
@@ -513,7 +429,6 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     starts = _initial_candidates(initializer, queries, k, model, dataset, mutable, segments)
 
     results: list[CfResult | None] = [None] * n
-    iterations = np.zeros(n, dtype=int)
 
     if initializer.kind == "origin":
         # A query the model already accepts needs no change: the zero-cost
@@ -543,49 +458,45 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         lams = schedule[level:level + width]
         sub = np.array(pending)
         rows = np.repeat(sub, width)
-        out = _run_attempt(model, queries[rows], starts[rows],
-                           np.tile(lams, len(sub)), objective, mad, mutable,
-                           budget, proto_pool, record_trace)
+        cands, probs = _run_attempt(model, queries[rows], starts[rows],
+                                    np.tile(lams, len(sub)), objective, mad, mutable,
+                                    budget, proto_pool)
         still = []
         for q, i in enumerate(sub):
             for j, lam in enumerate(lams):
                 r = q * width + j
-                iterations[i] += out.steps_used[r]
                 attempts_of[i].append(lam)
-                cand = out.candidates[r]
-                valid = out.probs[r] > 0.5
-                optimizer = "sgd-momentum-fallback" if out.fallback[r] else "adam"
+                cand = cands[r]
+                valid = probs[r] > 0.5
                 success = valid.all() if is_dice else bool(valid[0])
                 if success:
                     results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
-                                         initializer, optimizer, iterations[i],
-                                         tuple(attempts_of[i]), is_dice, out.traces[r])
+                                         initializer, budget, attempts_of[i], is_dice)
                     break
             else:
-                last_outcome[i] = (cand, valid, optimizer, lam, out.traces[r])
+                last_outcome[i] = (cand, valid, lam)
                 still.append(i)
         pending = still
         level += width
 
     for i in pending:
-        cand, valid, optimizer, lam, trace = last_outcome[i]
+        cand, valid, lam = last_outcome[i]
         if is_dice and valid.any():
             # The escalation floor was reached with a partial candidate set;
             # accept the closest valid candidate rather than fail outright.
             results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
-                                 initializer, optimizer, iterations[i],
-                                 tuple(attempts_of[i]), True, trace)
+                                 initializer, budget, attempts_of[i], True)
         else:
             results[i] = CfResult(
                 x_cf=None, valid=False, cost=float("nan"),
-                iterations=int(iterations[i]), final_lam=lam,
-                initializer=initializer.kind, optimizer=optimizer,
-                lam_attempts=tuple(attempts_of[i]), objective_trace=trace)
+                iterations=len(attempts_of[i]) * budget.steps, final_lam=lam,
+                initializer=initializer.kind, optimizer="adam",
+                lam_attempts=tuple(attempts_of[i]))
     return results  # type: ignore[return-value]
 
 
-def _finish(query, ref, cand, valid, mad, lam, initializer, optimizer, iters,
-            attempts, is_dice, trace) -> CfResult:
+def _finish(query, ref, cand, valid, mad, lam, initializer, budget, attempts,
+            is_dice) -> CfResult:
     if is_dice:
         l1 = np.abs(cand - query).sum(axis=1)
         l1[~valid] = np.inf
@@ -597,8 +508,9 @@ def _finish(query, ref, cand, valid, mad, lam, initializer, optimizer, iters,
         extra = {}
     return CfResult(
         x_cf=x_cf, valid=True, cost=dist_wachter(ref, x_cf, mad),
-        iterations=int(iters), final_lam=lam, initializer=initializer.kind,
-        optimizer=optimizer, lam_attempts=attempts, objective_trace=trace, **extra)
+        iterations=len(attempts) * budget.steps, final_lam=lam,
+        initializer=initializer.kind, optimizer="adam", lam_attempts=tuple(attempts),
+        **extra)
 
 
 # -- public entry points --------------------------------------------------------------
@@ -606,7 +518,7 @@ def _finish(query, ref, cand, valid, mad, lam, initializer, optimizer, iters,
 def find_counterfactual(model, x, objective: CfObjective, dataset,
                         initializer: Initializer = Initializer(),
                         budget: SearchBudget = SearchBudget(),
-                        cost_reference=None, record_trace: bool = False) -> CfResult:
+                        cost_reference=None) -> CfResult:
     """Search for a counterfactual for a single query point.
 
     The model is never mutated.  Escalation restarts the fixed-step descent
@@ -616,7 +528,7 @@ def find_counterfactual(model, x, objective: CfObjective, dataset,
     """
     ref = None if cost_reference is None else np.asarray(cost_reference, dtype=float)[None, :]
     return _search_many(model, np.asarray(x, dtype=float)[None, :], objective, dataset,
-                        initializer, budget, ref, record_trace)[0]
+                        initializer, budget, ref)[0]
 
 
 def batch_explain(model, points, objective: CfObjective, dataset,

@@ -1,4 +1,4 @@
-"""Feed-forward tanh classifier with analytic gradients and the two optimizers.
+"""Feed-forward tanh classifier with analytic gradients and the Adam optimizer.
 
 The network is a stack of tanh layers feeding a single sigmoid output.  All
 gradients (with respect to parameters and to inputs) are exact reverse-mode
@@ -181,10 +181,6 @@ class MlpClassifier:
         _, z = self._forward(X)
         return float(z[0]) if single else z
 
-    def predict(self, x):
-        p = self.forward(x)
-        return p > 0.5
-
     # -- gradients with respect to the input --------------------------------
     def grad_input_full(self, X: np.ndarray, wrt: str = "prob"):
         """Input gradients for a 2-d batch; also returns (probs, logits).
@@ -313,7 +309,7 @@ def accuracy(model: MlpClassifier, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(preds == (np.asarray(y) == 1)))
 
 
-# -- optimizers ---------------------------------------------------------------
+# -- optimizer ----------------------------------------------------------------
 
 @dataclass
 class AdamState:
@@ -353,30 +349,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     np.sqrt(denom, out=denom)
     denom += state.eps
     update /= denom
-    return np.subtract(params, update, out=update)
-
-
-@dataclass
-class MomentumState:
-    lr: float = DEFAULT_LR
-    momentum: float = 0.9
-    step: int = 0
-    velocity: np.ndarray | None = None
-
-
-def sgd_momentum_step(state: MomentumState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Heavy-ball update; `state.velocity` changes in place, `params` and
-    `grad` are not written."""
-    params = np.asarray(params, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != params.shape:
-        raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
-    if state.velocity is None:
-        state.velocity = np.zeros_like(params)
-    state.step += 1
-    state.velocity *= state.momentum
-    state.velocity += grad
-    update = state.lr * state.velocity
     return np.subtract(params, update, out=update)
 
 

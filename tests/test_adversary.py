@@ -9,7 +9,7 @@ import recourselab as rl
 from conftest import negative_test_rows
 from recourselab import adversary, explainers
 from recourselab.adversary import (
-    AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Config,
+    AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Aborted, Phase2Config,
     batch_hypergradient, counterfactual_term_grad, implicit_jacobian, load_artifact,
     phase1_fit, phase2_fit, save_artifact,
 )
@@ -119,7 +119,7 @@ class TestImplicitJacobian:
         assert np.all(est.matrix[j] == 0.0)
         assert est.hessian_rcond == at_kink.rcond
 
-    def test_auto_falls_back_to_diagonal(self, tiny_ds, monkeypatch):
+    def test_refused_full_inverse_falls_back_to_diagonal(self, tiny_ds, monkeypatch):
         # one hidden unit: the candidate Hessian is rank one, so the full
         # inverse is refused while its diagonal is not
         net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
@@ -129,11 +129,11 @@ class TestImplicitJacobian:
         system = adversary._implicit_system(net, x, obj, x_cf, tiny_ds, lam=4.0)
         assert system.free.size == 2 <= adversary.FULL_INVERSE_MAX_DIM
         assert 1.0 / np.linalg.cond(system.hessian) < adversary.RCOND_MIN
-        auto = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
+        chosen = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
         monkeypatch.setattr(adversary, "FULL_INVERSE_MAX_DIM", 0)
         diagonal = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
-        assert auto.mode == diagonal.mode == "diagonal-approximation"
-        assert auto.matrix.tobytes() == diagonal.matrix.tobytes()
+        assert chosen.mode == diagonal.mode == "diagonal-approximation"
+        assert chosen.matrix.tobytes() == diagonal.matrix.tobytes()
 
     def test_stationarity_flag(self, tiny_ds, tiny_net):
         x = tiny_ds.features[0]
@@ -296,10 +296,10 @@ class TestBatchHypergradient:
     # inputs the rule's own limit takes the full inverse for every point and
     # 0 sends every point to the diagonal.  The points move 1 to 5
     # coordinates, so a limit of 2 splits most batches between the branches
-    # ("auto"), and each point must take the branch implicit_jacobian takes.
-    LIMITS = {"full-inverse": None, "diagonal-approximation": 0, "auto": 2}
+    # ("mixed"), and each point must take the branch implicit_jacobian takes.
+    LIMITS = {"full-inverse": None, "diagonal-approximation": 0, "mixed": 2}
 
-    @pytest.mark.parametrize("branch", ["full-inverse", "diagonal-approximation", "auto"])
+    @pytest.mark.parametrize("branch", ["full-inverse", "diagonal-approximation", "mixed"])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_matches_dense_jacobian(self, wide_ds, wide_net, kind, masked, branch,
@@ -321,11 +321,11 @@ class TestBatchHypergradient:
                  for q, r in zip(queries[:3], results[:3])]
         assert counts.full_inverse == modes.count("full-inverse")
         assert counts.diagonal == modes.count("diagonal-approximation")
-        if branch != "auto":
+        if branch != "mixed":
             assert modes == [branch] * 3
         assert counts.skipped == 0
 
-    def test_auto_uses_diagonal_above_max_dim(self, tmp_path):
+    def test_uses_diagonal_above_max_dim(self, tmp_path):
         # One point moves exactly FULL_INVERSE_MAX_DIM coordinates, the other
         # one more.  sparse-wachter's squared distance keeps both Hessians
         # well conditioned, so only the count of moved coordinates decides.
@@ -346,7 +346,7 @@ class TestBatchHypergradient:
         assert counts.full_inverse == 1 and counts.diagonal == 1 and counts.skipped == 0
         assert_close(grad, dense_mean_hypergradient(net, origins, origins, results, obj, ds))
 
-    def test_auto_fallback_after_refused_full_inverse(self, tiny_ds):
+    def test_diagonal_after_refused_full_inverse(self, tiny_ds):
         # one hidden unit: two moved coordinates, but a rank-one Hessian
         net = rl.train_baseline(tiny_ds, steps=12, seed=1, hidden=(1,)).model
         obj = CfObjective("wachter")
@@ -592,6 +592,18 @@ class TestPhase2:
         a = phase2_fit(baseline_small, delta, synth_small, mini_phase2())
         b = phase2_fit(baseline_small, delta, synth_small, mini_phase2())
         assert a.model.flatten().tobytes() == b.model.flatten().tobytes()
+
+    def test_aborts_when_searches_fail(self, synth_small):
+        # f == 0.5 everywhere with a zero gradient: every point is a predicted
+        # negative and no search can leave its start
+        net = rl.MlpClassifier([2, 4, 1], seed=0)
+        net.set_flat(np.zeros(net.param_count))
+        config = dataclasses.replace(mini_phase2(steps=3),
+                                     budget=SearchBudget(steps=5, max_doublings=1))
+        with pytest.raises(Phase2Aborted) as info:
+            phase2_fit(net, np.array([0.3, -0.2]), synth_small, config)
+        assert info.value.step == 0
+        assert info.value.not_found_rate == 1.0
 
 
 def assert_steps_close(got, want, rel=1e-9):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -85,6 +86,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{section}.{field}:" in err
         assert not (tmp_path / "o").exists()
+
+    # JSON admits these literals, and a float field would take them as nan,
+    # inf or (for an integer past the float range) an overflow.
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "10^400"])
+    @pytest.mark.parametrize("section, field", [
+        (section, f.name) for section, cls in cli._SECTIONS.items()
+        for f in dataclasses.fields(cls) if f.type.startswith("float")])
+    def test_non_finite_number_names_field(self, section, field, literal):
+        blob = json.loads(f'{{"{section}": {{"{field}": {literal}}}}}')
+        with pytest.raises(ConfigError, match=f"^{section}.{field}: must be a finite number"):
+            parse_config(blob)
 
     def test_defaults_mirror_reference_protocol(self):
         config = parse_config({})

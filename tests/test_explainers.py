@@ -17,8 +17,8 @@ from conftest import negative_test_rows
 
 # Reference definitions of the objectives' distance and loss terms, written
 # one point at a time and independently of the batched kernel
-# `_objective_grads`, which `test_values_match_distance_functions` checks
-# against them.
+# `_objective_grads`, whose gradient `TestObjectiveKernel` checks against
+# central differences of `objective_value`.
 
 def dist_sparse(x, x_cf) -> float:
     """Elastic-net style distance: l1 plus squared l2."""
@@ -58,6 +58,21 @@ def dice_loss(model, x, candidates, mad, lam1: float, lam2: float) -> float:
     return float(hinge + (lam1 / k) * proximity - (lam2 / k ** 2) * diversity)
 
 
+def objective_value(kind, model, dataset, x, candidates, lam, proto=None) -> float:
+    """The search objective at one query's candidates, shape (k, d): the
+    squared push plus a distance, or the dice loss.  `proto` holds the
+    prototypes objective's nearest prototype fixed; None looks it up."""
+    if kind == "dice":
+        return dice_loss(model, x, candidates, dataset.mad, lam1=lam, lam2=1.0)
+    c = candidates[0]
+    push = lam * (model.forward(c) - 1.0) ** 2
+    if kind == "wachter":
+        return push + dist_wachter(x, c, dataset.mad)
+    if kind == "sparse-wachter":
+        return push + dist_sparse(x, c)
+    if proto is None:
+        proto = nearest_predicted_positive(model, dataset, c)
+    return push + dist_prototype(x, c, proto, beta=1.0)
 
 
 class TestDistances:
@@ -223,6 +238,7 @@ class TestFindCounterfactual:
         assert res.valid
         assert baseline_small.forward(res.x_cf) > 0.5
         assert res.cost > 0.0
+        assert res.iterations == SearchBudget().steps * len(res.lam_attempts)
 
     def test_boundary_proximity_steep_logistic(self):
         # logistic in one standardized feature with the decision point at 0.4
@@ -237,22 +253,23 @@ class TestFindCounterfactual:
         assert res.valid
         assert abs(res.x_cf[0] - 0.40) < 0.1
 
-    def test_not_found_with_fallback_on_flat_model(self, synth_small):
+    def test_not_found_on_flat_model(self, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))  # f == 0.5 everywhere, gradient 0
-        budget = SearchBudget(steps=40, stall_window=10)
+        budget = SearchBudget(steps=40)
         res = find_counterfactual(net, synth_small.features[0],
                                   CfObjective("wachter"), synth_small, budget=budget)
         assert not res.found and not res.valid
         assert res.x_cf is None
         assert np.isnan(res.cost)
-        assert res.optimizer == "sgd-momentum-fallback"
+        assert res.optimizer == "adam"
         assert len(res.lam_attempts) == budget.max_doublings + 1
+        assert res.iterations == budget.steps * len(res.lam_attempts)
 
     def test_lambda_escalation_monotone_doubling(self, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
-        budget = SearchBudget(steps=20, stall_window=5, max_doublings=6)
+        budget = SearchBudget(steps=20, max_doublings=6)
         res = find_counterfactual(net, synth_small.features[0],
                                   CfObjective("wachter"), synth_small, budget=budget)
         attempts = res.lam_attempts
@@ -275,13 +292,17 @@ class TestFindCounterfactual:
         after = hashlib.sha256(baseline_small.flatten().tobytes()).hexdigest()
         assert before == after
 
-    def test_objective_trace_descends(self, synth_small, baseline_small):
-        rows = negative_test_rows(synth_small, baseline_small)
-        res = find_counterfactual(baseline_small, synth_small.features[rows[0]],
-                                  CfObjective("wachter"), synth_small, record_trace=True)
-        trace = res.objective_trace
-        assert trace is not None
-        assert trace[-1] <= trace[0] + 1e-9
+    @pytest.mark.parametrize("kind", ["wachter", "sparse-wachter", "prototypes"])
+    def test_objective_descends(self, kind, synth_small, baseline_small):
+        x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
+        res = find_counterfactual(baseline_small, x, CfObjective(kind), synth_small)
+        assert res.found and len(res.lam_attempts) > 1
+
+        def objective(c):
+            return objective_value(kind, baseline_small, synth_small, x, c[None, :],
+                                   res.final_lam)
+
+        assert objective(res.x_cf) <= objective(x) + 1e-9
 
     def test_dice_selects_closest_valid(self, synth_small, baseline_small):
         rows = negative_test_rows(synth_small, baseline_small)
@@ -303,8 +324,8 @@ class TestFindCounterfactual:
 
 
 class TestObjectiveKernel:
-    """`_objective_grads` checked against finite differences and the scalar
-    distance functions, at candidates away from every kink."""
+    """`_objective_grads` checked against central differences of the
+    test-side `objective_value`, at candidates away from every kink."""
 
     LAMS = np.array([0.5, 2.0, 8.0, 32.0])
     MASKS = [None, (True, False)]
@@ -323,66 +344,32 @@ class TestObjectiveKernel:
             assert np.abs(model.logits(C.reshape(-1, 2)) - 1.0).min() > 1e-3
         return queries, C
 
-    def _kernel(self, kind, dataset, model, queries, C, lam, mask=None, with_value=True):
+    def _kernel(self, kind, dataset, model, queries, C, lam, mask=None):
         obj = CfObjective(kind, feature_mask=mask)
         pool = _prototype_pool(model, dataset)
-        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool, with_value)
+        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool)
 
     @pytest.mark.parametrize("mask", MASKS)
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_gradient_matches_central_differences(self, kind, mask, synth_small,
                                                   baseline_small):
         queries, C = self._batch(kind, synth_small, baseline_small)
-        grad, _, probs = self._kernel(kind, synth_small, baseline_small, queries, C,
-                                      self.LAMS, mask)
-        # the gradient-only path (a search step that is not tracing) skips
-        # the value and changes no bit of the gradient
-        lean_grad, lean_value, lean_probs = self._kernel(
-            kind, synth_small, baseline_small, queries, C, self.LAMS, mask, with_value=False)
-        assert lean_value is None
-        assert lean_grad.tobytes() == grad.tobytes()
-        assert lean_probs.tobytes() == probs.tobytes()
-        obj = CfObjective(kind, feature_mask=mask)
-        init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
-        traced, plain = (find_counterfactual(baseline_small, queries[0], obj, synth_small,
-                                             init, SearchBudget(steps=60), record_trace=trace)
-                         for trace in (True, False))
-        assert traced.objective_trace is not None and plain.objective_trace is None
-        assert traced.x_cf.tobytes() == plain.x_cf.tobytes()
-        assert (traced.iterations, traced.lam_attempts, traced.final_lam) == \
-            (plain.iterations, plain.lam_attempts, plain.final_lam)
+        grad = self._kernel(kind, synth_small, baseline_small, queries, C, self.LAMS, mask)
+        # the kernel differentiates with each candidate's nearest prototype
+        # held fixed
+        protos = nearest_predicted_positive(baseline_small, synth_small, C[:, 0])
         mutable = np.ones(2, bool) if mask is None else np.array(mask)
         h = 1e-6
-        for slot in range(C.shape[1]):
-            for j in np.flatnonzero(mutable):
-                up, down = C.copy(), C.copy()
-                up[:, slot, j] += h
-                down[:, slot, j] -= h
-                _, v_up, _ = self._kernel(kind, synth_small, baseline_small, queries,
-                                          up, self.LAMS, mask)
-                _, v_down, _ = self._kernel(kind, synth_small, baseline_small, queries,
-                                            down, self.LAMS, mask)
-                fd = (v_up - v_down) / (2 * h)
-                np.testing.assert_allclose(grad[:, slot, j], fd, rtol=1e-6, atol=1e-6)
-
-    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_values_match_distance_functions(self, kind, synth_small, baseline_small):
-        queries, C = self._batch(kind, synth_small, baseline_small)
-        _, value, _ = self._kernel(kind, synth_small, baseline_small, queries, C, self.LAMS)
-        mad = synth_small.mad
         for i, (x, lam) in enumerate(zip(queries, self.LAMS)):
-            c = C[i, 0]
-            push = lam * (baseline_small.forward(c) - 1.0) ** 2
-            if kind == "wachter":
-                expected = push + dist_wachter(x, c, mad)
-            elif kind == "sparse-wachter":
-                expected = push + dist_sparse(x, c)
-            elif kind == "prototypes":
-                proto = nearest_predicted_positive(baseline_small, synth_small, c)
-                expected = push + dist_prototype(x, c, proto, beta=1.0)
-            else:
-                expected = dice_loss(baseline_small, x, C[i], mad, lam1=lam, lam2=1.0)
-            assert value[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            for slot in range(C.shape[1]):
+                for j in np.flatnonzero(mutable):
+                    up, down = C[i].copy(), C[i].copy()
+                    up[slot, j] += h
+                    down[slot, j] -= h
+                    v_up, v_down = (objective_value(kind, baseline_small, synth_small, x,
+                                                    c, lam, protos[i]) for c in (up, down))
+                    fd = (v_up - v_down) / (2 * h)
+                    assert grad[i, slot, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_per_row_lambda_equals_scalar_calls(self, kind, synth_small, baseline_small):
@@ -390,8 +377,7 @@ class TestObjectiveKernel:
         out = self._kernel(kind, synth_small, baseline_small, queries, C, self.LAMS)
         for i, lam in enumerate(self.LAMS):
             ref = self._kernel(kind, synth_small, baseline_small, queries, C, float(lam))
-            for got, want in zip(out, ref):
-                assert got[i].tobytes() == want[i].tobytes()
+            assert out[i].tobytes() == ref[i].tobytes()
 
 
 def _outcome(r):
@@ -406,10 +392,9 @@ def _assert_same_results(got, want):
         if a.found:
             np.testing.assert_allclose(a.x_cf, b.x_cf, rtol=1e-9, atol=1e-12)
             assert a.cost == pytest.approx(b.cost, rel=1e-9, abs=1e-12)
-        for ta, tb in ((a.objective_trace, b.objective_trace), (a.candidates, b.candidates)):
-            assert (ta is None) == (tb is None)
-            if ta is not None:
-                np.testing.assert_allclose(ta, tb, rtol=1e-9, atol=1e-12)
+        assert (a.candidates is None) == (b.candidates is None)
+        if a.candidates is not None:
+            np.testing.assert_allclose(a.candidates, b.candidates, rtol=1e-9, atol=1e-12)
 
 
 def _count_rounds(monkeypatch) -> list:
@@ -464,17 +449,17 @@ class TestSpeculativeEscalation:
         assert exhausted
         assert all(len(r.lam_attempts) == self.BUDGET.max_doublings + 1 for r in exhausted)
 
-    def test_flat_model_fallback(self, monkeypatch, synth_small):
+    def test_flat_model_not_found(self, monkeypatch, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
-        budget = SearchBudget(steps=40, stall_window=10, max_doublings=6)
+        budget = SearchBudget(steps=40, max_doublings=6)
         args = (net, synth_small.features[:3], CfObjective("wachter"), synth_small,
                 Initializer(), budget)
         got = batch_explain(*args).results
         _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
         for r in got:
-            assert not r.found and r.optimizer == "sgd-momentum-fallback"
-            assert r.iterations == 2 * budget.steps * (budget.max_doublings + 1)
+            assert not r.found and r.x_cf is None and r.optimizer == "adam"
+            assert r.iterations == budget.steps * (budget.max_doublings + 1)
 
     def test_dice_partial_acceptance(self, monkeypatch, synth_small, baseline_small):
         # a descent too short to move: candidates stay at their uniform starts,
@@ -489,33 +474,28 @@ class TestSpeculativeEscalation:
                    and not (baseline_small.forward(r.candidates) > 0.5).all()]
         assert partial
 
-    def test_record_trace(self, monkeypatch, synth_small, baseline_small):
-        x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
-        args = (baseline_small, x, CfObjective("wachter"), synth_small, Initializer(),
-                self.BUDGET)
-        got = find_counterfactual(*args, record_trace=True)
-        want = _sequential(monkeypatch, find_counterfactual, *args, record_trace=True)
-        assert len(want.lam_attempts) > 1
-        assert got.objective_trace.shape == (self.BUDGET.steps + 1,)
-        _assert_same_results([got], [want])
-
     def test_attempt_rows_follow_their_own_lambda(self):
         # logistic net: the query at -800 sits where the sigmoid underflows,
-        # so its gradient is exactly zero and its rows take the fallback
+        # so its gradient is exactly zero and Adam leaves it at its start
         net = rl.MlpClassifier([1, 1], seed=0)
         net.set_flat(np.array([1.0, 0.0]))
         queries = np.array([[-800.0], [0.1], [-800.0], [0.1]])
         lams = np.array([1.0, 2.0, 4.0, 8.0])
-        budget = SearchBudget(steps=30, stall_window=10)
-        args = (CfObjective("wachter"), np.ones(1), np.ones(1, bool), budget, None, True)
-        out = explainers._run_attempt(net, queries, queries[:, None, :], lams, *args)
-        assert list(out.fallback) == [True, False, True, False]
+        budget = SearchBudget(steps=30)
+        args = (CfObjective("wachter"), np.ones(1), np.ones(1, bool), budget, None)
+        cands, probs = explainers._run_attempt(net, queries, queries[:, None, :], lams, *args)
+        assert cands[[0, 2], 0, 0].tolist() == [-800.0, -800.0]
+        assert (probs[[0, 2]] <= 0.5).all()
         for r in range(len(lams)):
-            one = explainers._run_attempt(net, queries[r:r + 1], queries[r:r + 1, None, :],
-                                          lams[r:r + 1], *args)
-            assert out.steps_used[r] == one.steps_used[0]
-            np.testing.assert_allclose(out.candidates[r], one.candidates[0], rtol=1e-12)
-            np.testing.assert_allclose(out.traces[r], one.traces[0], rtol=1e-12)
+            one, one_probs = explainers._run_attempt(
+                net, queries[r:r + 1], queries[r:r + 1, None, :], lams[r:r + 1], *args)
+            np.testing.assert_allclose(cands[r], one[0], rtol=1e-12)
+            np.testing.assert_allclose(probs[r], one_probs[0], rtol=1e-12)
+        raw = np.random.default_rng(5).normal(size=(40, 1))
+        ds = rl.data._finalize(raw, (raw[:, 0] > 0).astype(int), raw[:, 0] > 0, ("x",), seed=0)
+        res = find_counterfactual(net, queries[0], CfObjective("wachter"), ds, budget=budget)
+        assert not res.found and res.x_cf is None and res.optimizer == "adam"
+        assert res.iterations == budget.steps * (budget.max_doublings + 1)
 
     def test_one_round_of_kernel_calls_for_single_query(self, monkeypatch, synth_small,
                                                          baseline_small):
@@ -531,10 +511,10 @@ class TestSpeculativeEscalation:
                 self.BUDGET)
         want = _sequential(monkeypatch, find_counterfactual, *args)
         assert len(want.lam_attempts) > 2 and want.optimizer == "adam"
-        assert len(calls) == len(want.lam_attempts) * (self.BUDGET.steps + 1)
+        assert len(calls) == len(want.lam_attempts) * self.BUDGET.steps
         calls.clear()
         find_counterfactual(*args)
-        assert len(calls) <= self.BUDGET.steps + 1
+        assert len(calls) == self.BUDGET.steps
 
 
 class TestRowTarget:

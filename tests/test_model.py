@@ -3,8 +3,8 @@ import pytest
 
 import recourselab as rl
 from recourselab.model import (
-    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, MomentumState, TrainingDiverged, accuracy,
-    adam_step, load_model, save_model, sgd_momentum_step, sigmoid, train_baseline,
+    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, TrainingDiverged, accuracy,
+    adam_step, load_model, save_model, sigmoid, train_baseline,
 )
 
 
@@ -195,19 +195,6 @@ class TestOptimizers:
         new = adam_step(state, params, np.array([4.0]))
         assert new[0] == pytest.approx(1.0 - 0.01, abs=1e-8)
 
-    def test_sgd_zero_gradient_noop(self):
-        state = MomentumState(lr=0.01)
-        params = np.array([1.0, -2.0])
-        new = sgd_momentum_step(state, params, np.zeros(2))
-        assert np.array_equal(new, params)
-
-    def test_momentum_accumulates(self):
-        state = MomentumState(lr=0.1, momentum=0.9)
-        params = np.zeros(1)
-        params = sgd_momentum_step(state, params, np.ones(1))
-        params = sgd_momentum_step(state, params, np.ones(1))
-        assert params[0] == pytest.approx(-0.1 - 0.19)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adam_step(AdamState(), np.zeros(3), np.zeros(2))
@@ -335,23 +322,6 @@ class TestInPlaceKernelsBitIdentical:
             ref_params = ref_params - ref.lr * m_hat / (np.sqrt(v_hat) + ref.eps)
             assert np.array_equal(new, ref_params)
             assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
-            params = new
-
-    def test_momentum_steps(self):
-        rng = np.random.default_rng(7)
-        state = MomentumState(lr=0.05, momentum=0.9)
-        params = rng.normal(size=(12, 3, 2))
-        ref_params, velocity = params.copy(), np.zeros_like(params)
-        for _ in range(6):
-            grad = rng.normal(size=params.shape)
-            params_before, grad_before = params.copy(), grad.copy()
-            new = sgd_momentum_step(state, params, grad)
-            assert np.array_equal(params, params_before)
-            assert np.array_equal(grad, grad_before)
-            velocity = 0.9 * velocity + grad
-            ref_params = ref_params - 0.05 * velocity
-            assert np.array_equal(new, ref_params)
-            assert np.array_equal(state.velocity, velocity)
             params = new
 
 
