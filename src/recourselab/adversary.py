@@ -317,6 +317,19 @@ def _search_terms(model, conditions, objective, dataset, initializer,
 # -- phase one -------------------------------------------------------------------
 
 
+def _check_descent(config, weights) -> None:
+    """The rules both phase configs share: steps, lr, seed and loss weights."""
+    if not config.steps >= 0:
+        raise ValueError("steps: must be non-negative")
+    if not config.lr > 0:
+        raise ValueError("lr: must be positive")
+    if not config.seed >= 0:
+        raise ValueError("seed: must be non-negative")
+    for name in weights:
+        if not getattr(config, name) >= 0:
+            raise ValueError(f"{name}: must be non-negative")
+
+
 @dataclass
 class Phase1Config:
     steps: int = 10_000
@@ -327,6 +340,11 @@ class Phase1Config:
     counterfactual_weight: float = 1.0
     delta_size_weight: float = 1.0
     feature_mask: tuple[bool, ...] | None = None
+
+    def __post_init__(self):
+        _check_descent(self, ("bce_weight", "counterfactual_weight", "delta_size_weight"))
+        if not all(h >= 1 for h in self.hidden):
+            raise ValueError("hidden: layer widths must be positive")
 
 
 @dataclass
@@ -416,6 +434,11 @@ class Phase2Config:
     bce_weight: float = 1.0
     np_cost_weight: float = 1.0
     disparity_weight: float = 1.0
+
+    def __post_init__(self):
+        _check_descent(self, ("bce_weight", "np_cost_weight", "disparity_weight"))
+        if not self.subsample >= 1:
+            raise ValueError("subsample: must be positive")
 
 
 @dataclass

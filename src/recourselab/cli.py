@@ -210,6 +210,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    """The CLI's own rules; each library object, built once, checks its own."""
     ds = config.dataset
     if ds.kind not in ("synthetic", "csv"):
         raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
@@ -222,41 +223,19 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("dataset.label: required for csv datasets")
         if not ds.protected_column:
             raise ConfigError("dataset.protected_column: required for csv datasets")
+        build_schema(config)
     if ds.kind == "synthetic" and ds.n_per_cluster < 10:
         raise ConfigError("dataset.n_per_cluster: must be at least 10")
-    if any(h < 1 for h in config.model.hidden):
-        raise ConfigError("model.hidden: layer widths must be positive")
+    if ds.seed < 0:
+        raise ConfigError("dataset.seed: must be non-negative")
     ex = config.explainer
-    if ex.kind not in explainers.OBJECTIVE_KINDS:
-        raise ConfigError(f"explainer.kind: unknown kind {ex.kind!r}")
-    if ex.initializer not in explainers.INITIALIZER_KINDS:
-        raise ConfigError(f"explainer.initializer: unknown kind {ex.initializer!r}")
-    if ex.steps < 1 or ex.lr <= 0:
-        raise ConfigError("explainer.steps/lr: must be positive")
-    if ex.lam < 0:
-        raise ConfigError("explainer.lam: must be non-negative")
-    for name in ("lam1", "lam2", "beta"):
-        if getattr(ex, name) <= 0:
-            raise ConfigError(f"explainer.{name}: must be positive")
-    if ex.k < 1:
-        raise ConfigError("explainer.k: dice needs at least one candidate")
-    lam1_floor = explainers.SearchBudget().lam1_floor
-    if ex.kind == "dice" and ex.lam1 < lam1_floor:
-        raise ConfigError(f"explainer.lam1: dice escalation divides lam1 by 10 down to "
-                          f"{lam1_floor:g}, so it must be at least that")
     if ex.mask_size is not None and ex.mask_size < 1:
         raise ConfigError("explainer.mask_size: must be positive when set")
-    tr = config.training
-    if min(tr.baseline_steps, tr.phase1_steps, tr.phase2_steps) < 0:
-        raise ConfigError("training steps: must be non-negative")
-    if tr.subsample < 1:
-        raise ConfigError("training.subsample: must be positive")
-    if tr.lr <= 0:
-        raise ConfigError("training.lr: must be positive")
-    for name in ("bce_weight", "counterfactual_weight", "delta_size_weight",
-                 "np_cost_weight", "disparity_weight"):
-        if getattr(tr, name) < 0:
-            raise ConfigError(f"training.{name}: must be non-negative")
+    if ex.mask_seed < 0:
+        raise ConfigError("explainer.mask_seed: must be non-negative")
+    if config.training.baseline_steps < 0:
+        raise ConfigError("training.baseline_steps: must be non-negative")
+    _phase_configs(config, d=None)
     if not config.audit.tau >= 0:
         raise ConfigError("audit.tau: must be non-negative")
     if config.sweep is not None:
@@ -275,20 +254,36 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- config materialization --------------------------------------------------------
 
 
+def _library_object(cls, section: str, renames: dict, **kwargs):
+    """`cls(**kwargs)`; its ValueError, which starts with the library field's
+    name, becomes a ConfigError naming the config field: `renames[name]`
+    where the names differ, else `section.name`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{renames.get(name, f'{section}.{name}')}: {reason}") from None
+
+
+def build_schema(config: ExperimentConfig) -> data.CsvSchema:
+    ds = config.dataset
+    return _library_object(
+        data.CsvSchema, "dataset", {}, label=ds.label, protected_column=ds.protected_column,
+        protected_op=ds.protected_op, protected_threshold=ds.protected_threshold,
+        features=ds.features, label_rule=ds.label_rule)
+
+
 def build_dataset(config: ExperimentConfig) -> data.Dataset:
     ds = config.dataset
     if ds.kind == "synthetic":
         return data.make_synthetic(ds.n_per_cluster, seed=ds.seed)
-    schema = data.CsvSchema(
-        label=ds.label, protected_column=ds.protected_column,
-        protected_op=ds.protected_op, protected_threshold=ds.protected_threshold,
-        features=ds.features, label_rule=ds.label_rule)
-    return data.load_csv(ds.path, schema, seed=ds.seed)
+    return data.load_csv(ds.path, build_schema(config), seed=ds.seed)
 
 
-def build_feature_mask(config: ExperimentConfig, d: int) -> tuple[bool, ...] | None:
+def build_feature_mask(config: ExperimentConfig, d: int | None) -> tuple[bool, ...] | None:
+    """The mutable features; None (all mutable) also while `d` is unknown."""
     ex = config.explainer
-    if ex.mask_size is None or ex.mask_size >= d:
+    if ex.mask_size is None or d is None or ex.mask_size >= d:
         return None
     rng = np.random.default_rng(ex.mask_seed)
     mutable = np.zeros(d, dtype=bool)
@@ -296,31 +291,36 @@ def build_feature_mask(config: ExperimentConfig, d: int) -> tuple[bool, ...] | N
     return tuple(bool(v) for v in mutable)
 
 
-def build_objective(config: ExperimentConfig, d: int) -> explainers.CfObjective:
+def build_objective(config: ExperimentConfig, d: int | None) -> explainers.CfObjective:
     ex = config.explainer
-    return explainers.CfObjective(
-        kind=ex.kind, lam=ex.lam, lam1=ex.lam1, lam2=ex.lam2, beta=ex.beta,
-        k=ex.k, feature_mask=build_feature_mask(config, d))
+    return _library_object(
+        explainers.CfObjective, "explainer", {}, kind=ex.kind, lam=ex.lam, lam1=ex.lam1,
+        lam2=ex.lam2, beta=ex.beta, k=ex.k, feature_mask=build_feature_mask(config, d))
 
 
 def build_initializer(config: ExperimentConfig) -> explainers.Initializer:
-    return explainers.Initializer(kind=config.explainer.initializer,
-                                  seed=config.explainer.init_seed)
+    return _library_object(
+        explainers.Initializer, "explainer",
+        {"kind": "explainer.initializer", "seed": "explainer.init_seed"},
+        kind=config.explainer.initializer, seed=config.explainer.init_seed)
 
 
 def build_budget(config: ExperimentConfig) -> explainers.SearchBudget:
-    return explainers.SearchBudget(steps=config.explainer.steps, lr=config.explainer.lr)
+    return _library_object(explainers.SearchBudget, "explainer", {},
+                           steps=config.explainer.steps, lr=config.explainer.lr)
 
 
-def _phase_configs(config: ExperimentConfig, d: int):
+def _phase_configs(config: ExperimentConfig, d: int | None):
     tr = config.training
-    phase1 = adversary.Phase1Config(
+    phase1 = _library_object(
+        adversary.Phase1Config, "training",
+        {"steps": "training.phase1_steps", "seed": "model.seed", "hidden": "model.hidden"},
         steps=tr.phase1_steps, lr=tr.lr, seed=config.model.seed,
         hidden=tuple(config.model.hidden),
         bce_weight=tr.bce_weight, counterfactual_weight=tr.counterfactual_weight,
-        delta_size_weight=tr.delta_size_weight,
-        feature_mask=build_feature_mask(config, d))
-    phase2 = adversary.Phase2Config(
+        delta_size_weight=tr.delta_size_weight, feature_mask=build_feature_mask(config, d))
+    phase2 = _library_object(
+        adversary.Phase2Config, "training", {"steps": "training.phase2_steps"},
         objective=build_objective(config, d), steps=tr.phase2_steps, lr=tr.lr,
         seed=tr.seed, subsample=tr.subsample,
         initializer=build_initializer(config), budget=build_budget(config),

@@ -228,13 +228,12 @@ class CsvSchema:
     protected_threshold: float = 0.5
     features: list[str] | None = None
     label_rule: str = "binary"
-    drop_na: bool = True
 
     def __post_init__(self):
         if self.protected_op not in _PREDICATE_OPS:
-            raise SchemaError(f"unknown predicate op {self.protected_op!r}")
+            raise SchemaError(f"protected_op: unknown predicate op {self.protected_op!r}")
         if self.label_rule not in ("binary", "below-median", "above-median"):
-            raise SchemaError(f"unknown label rule {self.label_rule!r}")
+            raise SchemaError(f"label_rule: unknown label rule {self.label_rule!r}")
 
 
 def _parse_cell(text: str, column: str, line: int) -> float:
@@ -251,8 +250,8 @@ def load_csv(path, schema: CsvSchema, seed: int = 0) -> Dataset:
     """Load a CSV, binarize labels, apply the protected predicate, split and
     standardize.
 
-    Rows with missing values in any used column are dropped when
-    `schema.drop_na` is set; malformed cells raise with their line number.
+    Rows with a missing value in any used column are dropped; malformed
+    cells raise with their line number.
     """
     path = Path(path)
     if not path.exists():
@@ -265,9 +264,10 @@ def load_csv(path, schema: CsvSchema, seed: int = 0) -> Dataset:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         col_of = {name: i for i, name in enumerate(header)}
-        for required in [schema.label, schema.protected_column] + (schema.features or []):
+        roles = [("label", schema.label), ("protected_column", schema.protected_column)]
+        for role, required in roles + [("features", f) for f in schema.features or []]:
             if required not in col_of:
-                raise SchemaError(f"column {required!r} not found in header")
+                raise SchemaError(f"{role}: column {required!r} not found in header")
         feature_names = schema.features or [h for h in header if h != schema.label]
         used = feature_names + [schema.label, schema.protected_column]
 
@@ -280,9 +280,7 @@ def load_csv(path, schema: CsvSchema, seed: int = 0) -> Dataset:
                 )
             values = {c: _parse_cell(record[col_of[c]], c, line) for c in used}
             if any(np.isnan(values[c]) for c in used):
-                if schema.drop_na:
-                    continue
-                raise DataError(f"line {line}: missing value")
+                continue
             rows.append([values[c] for c in feature_names])
             raw_labels.append(values[schema.label])
             prot_values.append(values[schema.protected_column])
@@ -297,7 +295,7 @@ def load_csv(path, schema: CsvSchema, seed: int = 0) -> Dataset:
         distinct = np.unique(raw_labels)
         if not np.isin(distinct, (0.0, 1.0)).all():
             raise SchemaError(
-                f"label column {schema.label!r} is not binary: values {distinct.tolist()}"
+                f"label: column {schema.label!r} is not binary: values {distinct.tolist()}"
             )
         labels = raw_labels.astype(int)
     else:

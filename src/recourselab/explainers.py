@@ -38,6 +38,11 @@ SEARCH_ROWS = 96
 # `_row_target` gives the first 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
 
+# The escalation schedule: the validity weight doubles up to MAX_DOUBLINGS
+# times; dice divides lam1 by 10 down to LAM1_FLOOR.
+MAX_DOUBLINGS = 20
+LAM1_FLOOR = 1e-3
+
 
 class ExplainError(RuntimeError):
     """Raised when a search cannot even be set up (bad mask, no positives...)."""
@@ -62,11 +67,17 @@ class CfObjective:
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.lam < 0 or self.lam1 <= 0 or self.lam2 <= 0 or self.beta <= 0:
-            raise ValueError("objective weights must be positive (lam may be 0)")
-        if self.k < 1:
-            raise ValueError("dice needs at least one candidate")
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        if not self.lam >= 0:
+            raise ValueError("lam: must be non-negative")
+        for name in ("lam1", "lam2", "beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive")
+        if not self.k >= 1:
+            raise ValueError("k: dice needs at least one candidate")
+        if self.kind == "dice" and not self.lam1 >= LAM1_FLOOR:
+            raise ValueError(f"lam1: dice escalation divides lam1 by 10 down to "
+                             f"{LAM1_FLOOR:g}, so it must be at least that")
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,9 @@ class Initializer:
 
     def __post_init__(self):
         if self.kind not in INITIALIZER_KINDS:
-            raise ValueError(f"unknown initializer {self.kind!r}")
+            raise ValueError(f"kind: unknown initializer {self.kind!r}")
+        if not self.seed >= 0:
+            raise ValueError("seed: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,8 +108,12 @@ class SearchBudget:
 
     steps: int = 1000
     lr: float = 0.01
-    max_doublings: int = 20
-    lam1_floor: float = 1e-3
+
+    def __post_init__(self):
+        if not self.steps >= 1:
+            raise ValueError("steps: must be positive")
+        if not self.lr > 0:
+            raise ValueError("lr: must be positive")
 
 
 @dataclass
@@ -384,14 +401,14 @@ def _snap_to_query(model, queries, C, probs, budget):
     return C, probs
 
 
-def _lam_schedule(objective, budget):
+def _lam_schedule(objective):
     if objective.kind == "dice":
         out, v = [], objective.lam1
-        while v >= budget.lam1_floor * (1.0 - 1e-12):
+        while v >= LAM1_FLOOR * (1.0 - 1e-12):
             out.append(v)
             v /= 10.0
         return out
-    return [objective.lam * 2.0 ** j for j in range(budget.max_doublings + 1)]
+    return [objective.lam * 2.0 ** j for j in range(MAX_DOUBLINGS + 1)]
 
 
 def _row_target(model) -> int:
@@ -417,10 +434,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
-    schedule = _lam_schedule(objective, budget)
-    if not schedule:
-        raise ExplainError(f"dice lam1 = {objective.lam1:g} is below the search budget's "
-                           f"lam1_floor = {budget.lam1_floor:g}: no escalation level to run")
+    schedule = _lam_schedule(objective)
     mad = dataset.mad
     is_dice = objective.kind == "dice"
     k = objective.k if is_dice else 1

@@ -599,7 +599,7 @@ class TestPhase2:
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
         config = dataclasses.replace(mini_phase2(steps=3),
-                                     budget=SearchBudget(steps=5, max_doublings=1))
+                                     budget=SearchBudget(steps=5))
         with pytest.raises(Phase2Aborted) as info:
             phase2_fit(net, np.array([0.3, -0.2]), synth_small, config)
         assert info.value.step == 0

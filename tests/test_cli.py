@@ -59,7 +59,7 @@ class TestConfigParsing:
             parse_config({"explainer": {"kind": "magic"}})
 
     def test_dice_lam1_below_floor_names_field(self):
-        floor = explainers.SearchBudget().lam1_floor
+        floor = explainers.LAM1_FLOOR
         with pytest.raises(ConfigError, match="explainer.lam1"):
             parse_config({"explainer": {"kind": "dice", "lam1": floor / 10}})
         assert parse_config({"explainer": {"kind": "dice", "lam1": floor}}).explainer.lam1 == floor
@@ -67,16 +67,25 @@ class TestConfigParsing:
         parse_config({"explainer": {"kind": "wachter", "lam1": floor / 10}})
 
     # Values the objective or the phase-2 subsample would reject mid-run,
-    # training values with which a run does nothing (lr 0) or ascends, and
-    # audit thresholds that would make every verdict unfair (or fair).
+    # searches and training values with which a run does nothing (0 steps,
+    # lr 0) or ascends, seeds numpy rejects, and audit thresholds that would
+    # make every verdict unfair (or fair).  The message begins with exactly
+    # the offending field, also where the library names it differently.
     @pytest.mark.parametrize("section, field, value", [
         ("explainer", "k", 0), ("explainer", "lam", -1.0), ("explainer", "lam1", 0.0),
         ("explainer", "lam2", -1.0), ("explainer", "beta", 0.0),
-        ("training", "subsample", -1), ("training", "lr", -0.01), ("training", "lr", 0.0),
+        ("explainer", "steps", 0), ("explainer", "lr", 0.0), ("explainer", "lr", -1.0),
+        ("explainer", "initializer", "bogus"),
+        ("training", "subsample", -1), ("training", "subsample", 0),
+        ("training", "lr", -0.01), ("training", "lr", 0.0),
+        ("training", "phase1_steps", -1), ("training", "phase2_steps", -1),
+        ("training", "baseline_steps", -1), ("model", "hidden", [0]),
         ("training", "bce_weight", -1.0), ("training", "counterfactual_weight", -1.0),
         ("training", "delta_size_weight", -2.0), ("training", "np_cost_weight", -1.0),
         ("training", "disparity_weight", -1.0), ("audit", "tau", -0.5),
-        ("audit", "tau", float("nan")), ("audit", "tau", float("inf"))])
+        ("audit", "tau", float("nan")), ("audit", "tau", float("inf")),
+        ("dataset", "seed", -1), ("model", "seed", -1), ("training", "seed", -1),
+        ("explainer", "init_seed", -1), ("explainer", "mask_seed", -1)])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, field, value):
         blob = tiny_config()
         blob[section] = {**blob[section], field: value}
@@ -84,7 +93,20 @@ class TestConfigParsing:
         code = main(["attack", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"{section}.{field}:" in err
+        assert err.startswith(f"config error: {section}.{field}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [("protected_op", "~"),
+                                              ("label_rule", "median")])
+    def test_bad_csv_schema_value_exits_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(20)))
+        blob = tiny_config(dataset={"kind": "csv", "path": str(path), "label": "y",
+                                    "protected_column": "a", field: value})
+        cfg = write_config(tmp_path, blob)
+        code = main(["attack", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: dataset.{field}: ")
         assert not (tmp_path / "o").exists()
 
     # JSON admits these literals, and a float field would take them as nan,

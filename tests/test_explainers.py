@@ -6,7 +6,8 @@ import pytest
 import recourselab as rl
 from recourselab import explainers
 from recourselab.explainers import (
-    INITIALIZER_KINDS, OBJECTIVE_KINDS, CfObjective, ExplainError, Initializer, SearchBudget,
+    INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, ExplainError,
+    Initializer, SearchBudget,
     _initial_candidates, _objective_grads, _prototype_pool, _snap_to_query, batch_explain,
     dist_wachter, find_counterfactual, nearest_predicted_positive, results_to_csv,
     sensitivity_probe,
@@ -263,17 +264,18 @@ class TestFindCounterfactual:
         assert res.x_cf is None
         assert np.isnan(res.cost)
         assert res.optimizer == "adam"
-        assert len(res.lam_attempts) == budget.max_doublings + 1
+        assert len(res.lam_attempts) == MAX_DOUBLINGS + 1
         assert res.iterations == budget.steps * len(res.lam_attempts)
 
     def test_lambda_escalation_monotone_doubling(self, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
-        budget = SearchBudget(steps=20, max_doublings=6)
+        budget = SearchBudget(steps=20)
         res = find_counterfactual(net, synth_small.features[0],
                                   CfObjective("wachter"), synth_small, budget=budget)
         attempts = res.lam_attempts
-        assert list(attempts) == [2.0 ** j for j in range(7)]
+        assert MAX_DOUBLINGS == 20
+        assert list(attempts) == [2.0 ** j for j in range(21)]
         assert len(set(attempts)) == len(attempts)
 
     def test_masked_features_untouched(self, synth_small, baseline_small):
@@ -447,26 +449,27 @@ class TestSpeculativeEscalation:
         _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
         exhausted = [r for r in got if not r.found]
         assert exhausted
-        assert all(len(r.lam_attempts) == self.BUDGET.max_doublings + 1 for r in exhausted)
+        assert all(len(r.lam_attempts) == MAX_DOUBLINGS + 1 for r in exhausted)
 
     def test_flat_model_not_found(self, monkeypatch, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
-        budget = SearchBudget(steps=40, max_doublings=6)
+        budget = SearchBudget(steps=40)
         args = (net, synth_small.features[:3], CfObjective("wachter"), synth_small,
                 Initializer(), budget)
         got = batch_explain(*args).results
         _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
         for r in got:
             assert not r.found and r.x_cf is None and r.optimizer == "adam"
-            assert r.iterations == budget.steps * (budget.max_doublings + 1)
+            assert r.iterations == budget.steps * (MAX_DOUBLINGS + 1)
 
     def test_dice_partial_acceptance(self, monkeypatch, synth_small, baseline_small):
         # a descent too short to move: candidates stay at their uniform starts,
         # so queries end the schedule with some but not all candidates valid
-        budget = SearchBudget(steps=2, lr=1e-6, lam1_floor=1e-2)
+        # (lam1 1 down to the floor 1e-3: four levels)
+        budget = SearchBudget(steps=2, lr=1e-6)
         X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
-        args = (baseline_small, X, CfObjective("dice", k=4), synth_small,
+        args = (baseline_small, X, CfObjective("dice", k=4, lam1=1.0), synth_small,
                 Initializer("random-uniform", seed=3), budget)
         got = batch_explain(*args).results
         _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
@@ -495,7 +498,7 @@ class TestSpeculativeEscalation:
         ds = rl.data._finalize(raw, (raw[:, 0] > 0).astype(int), raw[:, 0] > 0, ("x",), seed=0)
         res = find_counterfactual(net, queries[0], CfObjective("wachter"), ds, budget=budget)
         assert not res.found and res.x_cf is None and res.optimizer == "adam"
-        assert res.iterations == budget.steps * (budget.max_doublings + 1)
+        assert res.iterations == budget.steps * (MAX_DOUBLINGS + 1)
 
     def test_one_round_of_kernel_calls_for_single_query(self, monkeypatch, synth_small,
                                                          baseline_small):
@@ -562,22 +565,16 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
     _assert_same_results(got, want)
 
 
-@pytest.mark.parametrize("origin_valid", [False, True])
-def test_empty_dice_schedule_is_explain_error(origin_valid, monkeypatch, synth_small,
-                                              baseline_small):
-    # lam1 below the floor leaves no escalation level: a rejected query used
-    # to raise KeyError and an accepted one IndexError
-    accepted = [i for i in synth_small.test_idx
-                if baseline_small.forward(synth_small.features[i]) > 0.5]
-    row = accepted[0] if origin_valid else negative_test_rows(synth_small, baseline_small)[0]
-
-    def no_search(*args):
-        raise AssertionError("a search ran")
-
-    monkeypatch.setattr(explainers, "_objective_grads", no_search)
-    with pytest.raises(ExplainError, match="lam1.*lam1_floor"):
-        find_counterfactual(baseline_small, synth_small.features[row],
-                            CfObjective("dice", lam1=1e-4), synth_small)
+def test_dice_lam1_below_floor_rejected(synth_small, baseline_small):
+    # below the floor no escalation level would be left to run
+    with pytest.raises(ValueError, match="^lam1: "):
+        CfObjective("dice", lam1=LAM1_FLOOR / 10)
+    CfObjective("wachter", lam1=LAM1_FLOOR / 10)      # lam1 only weighs dice
+    x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
+    res = find_counterfactual(baseline_small, x, CfObjective("dice", lam1=LAM1_FLOOR),
+                              synth_small, Initializer("random-uniform", seed=1),
+                              SearchBudget(steps=5))
+    assert res.lam_attempts == (LAM1_FLOOR,)
 
 
 class TestValidityContract:
@@ -750,3 +747,19 @@ def test_objective_validation():
         CfObjective("dice", k=0)
     with pytest.raises(ValueError):
         Initializer("bad-init")
+    # each config dataclass rejects its own bad field when built, so no
+    # search runs on it; the message starts with the field's name
+    nan = float("nan")
+    cases = [
+        ("steps", lambda: SearchBudget(steps=0)),
+        ("lr", lambda: SearchBudget(lr=-0.01)),
+        ("lr", lambda: SearchBudget(lr=nan)),
+        ("lam", lambda: CfObjective("wachter", lam=nan)),
+        ("lam1", lambda: CfObjective("dice", lam1=1e-4)),
+        ("seed", lambda: Initializer(seed=-1)),
+        ("lr", lambda: rl.Phase1Config(lr=0)),
+        ("subsample", lambda: rl.Phase2Config(objective=CfObjective("wachter"), subsample=0)),
+    ]
+    for field, build in cases:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
