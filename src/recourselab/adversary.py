@@ -31,8 +31,8 @@ import numpy as np
 from . import explainers
 from .data import Dataset
 from .explainers import CfObjective, Initializer, SearchBudget
-from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, adam_step,
-                    load_model, save_model)
+from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, Workspace,
+                    adam_step, load_model, save_model)
 
 STATIONARITY_TOL = 1e-2
 HESSIAN_FD_STEP = 1e-4
@@ -384,19 +384,24 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
     X_np = dataset.features[np_neg_rows]
 
     theta_state = AdamState(lr=config.lr)
+    theta = net.flatten()
+    net.set_flat(theta)
     delta_state = AdamState(lr=config.lr)
+    workspace = Workspace()
     losses = np.empty(config.steps)
     delta_l1 = np.empty(config.steps)
 
     for step in range(config.steps):
         try:
-            bce, g_bce = net.bce_loss_and_grad(X, y)
-            g_theta = config.bce_weight * g_bce
+            bce, g_theta = net.bce_loss_and_grad(X, y, workspace)
+            g_theta *= config.bce_weight
             g_delta = np.zeros(dataset.d)
             push = 0.0
             if X_np.shape[0]:
-                push, g_push, g_rows = net.squared_push_loss_and_grads(X_np + delta)
-                g_theta += config.counterfactual_weight * g_push
+                push, g_push, g_rows = net.squared_push_loss_and_grads(X_np + delta, workspace)
+                g_push *= config.counterfactual_weight
+                g_theta += g_push
+                del g_push      # not alive through the optimizer step
                 g_delta += config.counterfactual_weight * np.mean(g_rows, axis=0)
         except NumericError:
             raise TrainingDiverged(step) from None
@@ -411,7 +416,8 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
         losses[step] = loss
         delta_l1[step] = np.sum(np.abs(delta))
 
-        net.set_flat(adam_step(theta_state, net.flatten(), g_theta))
+        theta = adam_step(theta_state, theta, g_theta)
+        net.set_flat(theta)
         delta = adam_step(delta_state, delta, g_delta)
         delta[~mutable] = 0.0
 
@@ -502,6 +508,8 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     np_ = dataset.features[audit_idx["nonprotected-neg"]]
 
     state = AdamState(lr=config.lr)
+    theta = net.flatten()
+    net.set_flat(theta)
     telemetry: list[Phase2Step] = []
     best_flat = None
     best_objective = np.inf
@@ -552,7 +560,8 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         if np.isfinite(disparity):
             grad = grad + config.disparity_weight * 2.0 * disparity * (
                 pr_clean.grad - np_clean.grad)
-        net.set_flat(adam_step(state, net.flatten(), grad))
+        theta = adam_step(state, theta, grad)
+        net.set_flat(theta)
 
     if best_flat is not None:
         net.set_flat(best_flat)

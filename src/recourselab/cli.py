@@ -210,7 +210,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """The CLI's own rules; each library object, built once, checks its own."""
+    """The CLI's own rules; each library object, built once, checks its own.
+
+    Each sweep value is checked as the config of the cell it makes.
+    """
     ds = config.dataset
     if ds.kind not in ("synthetic", "csv"):
         raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
@@ -243,6 +246,11 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"sweep.axis: unknown axis {config.sweep.axis!r}")
         if config.sweep.artifact and not Path(config.sweep.artifact).exists():
             raise ConfigError(f"sweep.artifact: no such directory {config.sweep.artifact!r}")
+        for i, value in enumerate(_sweep_values(config, config.sweep)):
+            try:
+                validate_config(_sweep_cell_config(config, config.sweep.axis, value))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.values[{i}]: {exc}") from None
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -459,10 +467,11 @@ def _sweep_cell_config(config: ExperimentConfig, axis: str, value) -> Experiment
         cell = dataclasses.replace(
             cell, explainer=dataclasses.replace(cell.explainer, initializer=value))
     elif axis == "mask-size":
+        mask_size = _coerce(value, "int", "explainer.mask_size")
         cell = dataclasses.replace(
-            cell, explainer=dataclasses.replace(cell.explainer, mask_size=int(value)))
+            cell, explainer=dataclasses.replace(cell.explainer, mask_size=mask_size))
     elif axis == "width":
-        width = int(value)
+        width = _coerce(value, "int", "model.hidden")
         hidden = [width] * len(config.model.hidden)
         cell = dataclasses.replace(cell, model=dataclasses.replace(cell.model, hidden=hidden))
     return cell
@@ -471,7 +480,7 @@ def _sweep_cell_config(config: ExperimentConfig, axis: str, value) -> Experiment
 def cmd_sweep(config: ExperimentConfig, out_dir: Path, deterministic: bool) -> int:
     sweep = config.sweep or SweepSection(axis="initializer",
                                          values=[config.explainer.initializer])
-    values = sweep.values or [_default_cell_value(config, sweep.axis)]
+    values = _sweep_values(config, sweep)
     dataset = build_dataset(config)
 
     shared_artifact = None
@@ -523,12 +532,15 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, deterministic: bool) -> i
     return 0 if all(r[3] == "ok" for r in rows) else 1
 
 
-def _default_cell_value(config: ExperimentConfig, axis: str):
-    if axis == "initializer":
-        return config.explainer.initializer
-    if axis == "mask-size":
-        return config.explainer.mask_size or 0
-    return config.model.hidden[0]
+def _sweep_values(config: ExperimentConfig, sweep: SweepSection) -> list:
+    """The sweep's values, or one cell at the config's own value on the axis."""
+    if sweep.values:
+        return sweep.values
+    if sweep.axis == "initializer":
+        return [config.explainer.initializer]
+    if sweep.axis == "mask-size":
+        return [config.explainer.mask_size or 0]
+    return [config.model.hidden[0]]
 
 
 # -- entry point -------------------------------------------------------------------------

@@ -11,6 +11,23 @@ The trainers get a loss and its gradients from one forward pass per batch
 overwrites the hidden activations of its own forward pass with the tanh
 slopes 1 - a^2, which nothing reads afterwards; the caller's input is never
 written.
+
+Workspace rule.  A training loop that makes the same passes on every step
+creates one `Workspace` and hands it to each pass; the passes then write the
+hidden activations and the backward `g @ W.T` products into its flat float64
+buffers instead of fresh arrays, with the same arithmetic and so the same
+bits.  The loop that creates the workspace owns it, and it lives no longer
+than that loop: no `MlpClassifier` keeps one, so `clone` and `with_flat`
+cannot share one.  A pass of n rows uses the view of each buffer's leading
+n rows, so batches of different sizes share one workspace, and a buffer
+grows when a larger batch arrives.  No returned array aliases a buffer: the
+parameter gradient, the probabilities and the input gradients are fresh
+arrays, and the next pass may overwrite every buffer.  A pass without a
+workspace runs the same lines and allocates each product.
+
+`set_flat` makes the vector it receives the model's parameter storage, with
+no copy, so a trainer that steps one flat vector out of place (`adam_step`)
+holds one copy of the parameters; `with_flat` copies.
 """
 
 from __future__ import annotations
@@ -80,6 +97,27 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, a, out=a)
 
 
+class Workspace:
+    """Flat float64 scratch buffers that one training loop reuses on every
+    step; see the module's workspace rule."""
+
+    def __init__(self):
+        self._flat: dict[object, np.ndarray] = {}
+
+    def rows(self, key, n: int, h: int) -> np.ndarray:
+        """The (n, h) view of the leading n*h entries of buffer `key`."""
+        flat = self._flat.get(key)
+        if flat is None or flat.size < n * h:
+            flat = self._flat[key] = np.empty(n * h)
+        return flat[:n * h].reshape(n, h)
+
+
+def _scratch(workspace: Workspace | None, key, n: int, h: int):
+    """The `out=` array for an (n, h) product: a workspace view, or None for
+    a fresh array."""
+    return None if workspace is None else workspace.rows(key, n, h)
+
+
 class MlpClassifier:
     """tanh MLP with sigmoid output probability.
 
@@ -122,37 +160,50 @@ class MlpClassifier:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {vec.shape}")
-        layers, offset = [], 0
+        return [(w.copy(), b.copy()) for w, b in self._layer_views(vec)]
+
+    def _layer_views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, bias) views into a vector in the flat parameter layout."""
+        views, offset = [], 0
         for w, b in zip(self.weights, self.biases):
-            wv = vec[offset:offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            bv = vec[offset:offset + b.size].copy()
-            offset += b.size
-            layers.append((wv, bv))
-        return layers
+            views.append((vec[offset:offset + w.size].reshape(w.shape),
+                          vec[offset + w.size:offset + w.size + b.size]))
+            offset += w.size + b.size
+        return views
 
     def set_flat(self, vec: np.ndarray) -> None:
-        layers = self.unflatten(vec)
-        self.weights = [w for w, _ in layers]
-        self.biases = [b for _, b in layers]
+        """Take `vec` itself as the parameter storage, without a copy: the
+        weights and biases become views of it, so the caller must not write
+        to it afterwards."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {vec.shape}")
+        views = self._layer_views(vec)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     def with_flat(self, vec: np.ndarray) -> "MlpClassifier":
+        """A new model holding a copy of `vec`."""
         clone = MlpClassifier(self.layer_dims, self.seed)
-        clone.set_flat(vec)
+        clone.set_flat(np.array(vec, dtype=float))
         return clone
 
     def clone(self) -> "MlpClassifier":
         return self.with_flat(self.flatten())
 
     # -- forward ------------------------------------------------------------
-    def _forward(self, X: np.ndarray, check: bool = False):
-        """Returns (activations per layer starting at the input, final logits)."""
+    def _forward(self, X: np.ndarray, check: bool = False, workspace: Workspace | None = None):
+        """Returns (activations per layer starting at the input, final logits).
+
+        With a `workspace`, the hidden activations are views of its buffers.
+        """
         a = np.asarray(X, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.d:
             raise ValueError(f"expected (n, {self.d}) inputs, got {a.shape}")
         acts = [a]
+        n = a.shape[0]
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = a @ w
+            a = np.matmul(a, w, out=_scratch(workspace, ("act", i), n, w.shape[1]))
             a += b
             np.tanh(a, out=a)
             if check and not np.isfinite(a).all():
@@ -200,13 +251,20 @@ class MlpClassifier:
             _tanh_slope(a)
         return self._input_grad_from_slopes(acts, g), _clip_prob(p), z
 
-    def _input_grad_from_slopes(self, slopes, g: np.ndarray) -> np.ndarray:
+    def _input_grad_from_slopes(self, slopes, g: np.ndarray,
+                                workspace: Workspace | None = None) -> np.ndarray:
         """Chain per-row output gradients `g` (n x 1) to the inputs through
-        the tanh slopes held in `slopes[1:]`."""
+        the tanh slopes held in `slopes[1:]`; the result is a fresh array."""
         for i in range(len(self.weights) - 1, 0, -1):
-            g = g @ self.weights[i].T
+            g = self._back_product(g, i, workspace)
             g *= slopes[i]
         return g @ self.weights[0].T
+
+    def _back_product(self, g: np.ndarray, i: int, workspace: Workspace | None) -> np.ndarray:
+        """`g @ W_i.T`; with a workspace, into the product buffer of i's
+        parity, so consecutive layers alternate between two buffers."""
+        w_t = self.weights[i].T
+        return np.matmul(g, w_t, out=_scratch(workspace, ("prod", i % 2), g.shape[0], w_t.shape[1]))
 
     def grad_input(self, x, wrt: str = "prob"):
         X, single = self._as_batch(x)
@@ -214,54 +272,55 @@ class MlpClassifier:
         return g[0] if single else g
 
     # -- gradients with respect to the parameters ----------------------------
-    def _grad_params_from_dz(self, acts, dz: np.ndarray) -> np.ndarray:
-        """Backpropagate per-row output-logit gradients into a flat vector.
+    def _grad_params_from_dz(self, acts, dz: np.ndarray,
+                             workspace: Workspace | None = None) -> np.ndarray:
+        """Backpropagate per-row output-logit gradients into a fresh flat
+        vector, each layer's products written straight into its slice.
 
         Leaves the tanh slopes in `acts[1:]`, which the caller owns; `acts[0]`
         is the caller's input and is not written.
         """
+        grad = np.empty(self.param_count)
+        views = self._layer_views(grad)
         g = dz[:, None]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+            gw, gb = views[i]
+            np.matmul(acts[i].T, g, out=gw)
+            np.sum(g, axis=0, out=gb)
             if i > 0:
-                g = g @ self.weights[i].T
+                g = self._back_product(g, i, workspace)
                 g *= _tanh_slope(acts[i])
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb.ravel())
-        return np.concatenate(parts)
+        return grad
 
-    def bce_loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """`bce_loss` and `grad_params_bce` from one forward pass; raises
-        NumericError on non-finite activations."""
+    def bce_loss_and_grad(self, X: np.ndarray, y: np.ndarray,
+                          workspace: Workspace | None = None) -> tuple[float, np.ndarray]:
+        """`bce_loss` and `grad_params_bce` from one forward pass, in the
+        `workspace`'s buffers when given; raises NumericError on non-finite
+        activations."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
-        acts, z = self._forward(X, check=True)
+        acts, z = self._forward(X, check=True, workspace=workspace)
         p = sigmoid(z)
-        grad = self._grad_params_from_dz(acts, (p - y) / X.shape[0])
+        grad = self._grad_params_from_dz(acts, (p - y) / X.shape[0], workspace)
         return _bce(_clip_prob(p), y), grad
 
     def grad_params_bce(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the mean binary cross entropy over the batch."""
         return self.bce_loss_and_grad(X, y)[1]
 
-    def _squared_push_pass(self, X: np.ndarray, weights):
+    def _squared_push_pass(self, X: np.ndarray, weights, workspace: Workspace | None = None):
         """(parameter gradient, tanh slopes, unclipped probabilities) of the
         squared push; see `grad_params_squared_push`."""
         X = np.asarray(X, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty batch")
-        acts, z = self._forward(X, check=True)
+        acts, z = self._forward(X, check=True, workspace=workspace)
         p = sigmoid(z)
         dz = 2.0 * (p - 1.0) * p * (1.0 - p)
         dz = dz / X.shape[0] if weights is None else dz * weights
-        return self._grad_params_from_dz(acts, dz), acts, p
+        return self._grad_params_from_dz(acts, dz, workspace), acts, p
 
     def grad_params_squared_push(self, X: np.ndarray, weights=None) -> np.ndarray:
         """Gradient of mean (f(x) - 1)^2 over the batch.
@@ -270,16 +329,17 @@ class MlpClassifier:
         """
         return self._squared_push_pass(X, weights)[0]
 
-    def squared_push_loss_and_grads(self, X: np.ndarray):
+    def squared_push_loss_and_grads(self, X: np.ndarray, workspace: Workspace | None = None):
         """`squared_push_loss`, `grad_params_squared_push` and each row's input
-        gradient of (f(x_r) - 1)^2, from one forward pass.
+        gradient of (f(x_r) - 1)^2, from one forward pass, in the
+        `workspace`'s buffers when given.
 
         The input gradients are `2 (f(x_r) - 1) grad_input(x_r)`; both backward
         chains go through the same tanh slopes.  Raises NumericError on
         non-finite activations.
         """
-        grad, slopes, p = self._squared_push_pass(X, None)
-        g_in = self._input_grad_from_slopes(slopes, (p * (1.0 - p))[:, None])
+        grad, slopes, p = self._squared_push_pass(X, None, workspace)
+        g_in = self._input_grad_from_slopes(slopes, (p * (1.0 - p))[:, None], workspace)
         probs = _clip_prob(p)
         return _squared_push(probs), grad, 2.0 * (probs - 1.0)[:, None] * g_in
 
@@ -337,15 +397,18 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
         state.v = np.zeros_like(params)
     state.step += 1
     # Each product and sum in the textbook formulas' order: the same bits.
+    # One scratch array holds each term in turn, so a step allocates two
+    # parameter-sized arrays, the scratch and the result.
+    scratch = np.multiply(grad, 1.0 - state.beta1)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    g2 = np.square(grad)
-    g2 *= 1.0 - state.beta2
+    state.m += scratch
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - state.beta2
     state.v *= state.beta2
-    state.v += g2
+    state.v += scratch
     update = state.m / (1.0 - state.beta1 ** state.step)       # m_hat
     update *= state.lr
-    denom = state.v / (1.0 - state.beta2 ** state.step)        # v_hat
+    denom = np.divide(state.v, 1.0 - state.beta2 ** state.step, out=scratch)   # v_hat
     np.sqrt(denom, out=denom)
     denom += state.eps
     update /= denom
@@ -369,16 +432,20 @@ def train_baseline(dataset, steps: int = 50, seed: int = 0,
     y = dataset.train_labels
     net = MlpClassifier([dataset.d, *hidden, 1], seed=seed)
     state = AdamState(lr=lr)
+    theta = net.flatten()
+    net.set_flat(theta)
+    workspace = Workspace()
     losses = np.empty(steps)
     for step in range(steps):
         try:
-            loss, grad = net.bce_loss_and_grad(X, y)
+            loss, grad = net.bce_loss_and_grad(X, y, workspace)
         except NumericError:
             raise TrainingDiverged(step) from None
         if not np.isfinite(loss):
             raise TrainingDiverged(step)
         losses[step] = loss
-        net.set_flat(adam_step(state, net.flatten(), grad))
+        theta = adam_step(state, theta, grad)
+        net.set_flat(theta)
     return TrainResult(model=net, loss_trace=losses)
 
 

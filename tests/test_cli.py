@@ -313,6 +313,21 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert (out / "cells" / "1" / "artifact" / "model.npz").exists()
 
+    @pytest.mark.parametrize("axis, values, bad, field", [
+        ("initializer", ["origin", "bogus"], 1, "explainer.initializer"),
+        ("width", [4, 0], 1, "model.hidden"),
+        ("mask-size", [1, 1.5], 1, "explainer.mask_size"),
+        # no values and no explainer.mask_size: the one default cell has mask size 0
+        ("mask-size", [], 0, "explainer.mask_size"),
+    ])
+    def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, axis, values, bad,
+                                                   field):
+        cfg = write_config(tmp_path, tiny_config(sweep={"axis": axis, "values": values}))
+        out = tmp_path / "badsweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: sweep.values[{bad}]: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_sweep_csv(self, tmp_path):
         blob = tiny_config(sweep={"axis": "initializer", "values": ["origin"]})
         cfg = write_config(tmp_path, blob)

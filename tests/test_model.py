@@ -3,7 +3,7 @@ import pytest
 
 import recourselab as rl
 from recourselab.model import (
-    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, TrainingDiverged, accuracy,
+    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, TrainingDiverged, Workspace, accuracy,
     adam_step, load_model, save_model, sigmoid, train_baseline,
 )
 
@@ -71,6 +71,15 @@ class TestFlatten:
         net = MlpClassifier([2, 2, 1], seed=0)
         with pytest.raises(ValueError):
             net.set_flat(np.zeros(net.param_count + 1))
+
+    def test_set_flat_uses_the_vector_itself(self):
+        net = MlpClassifier([4, 7, 3, 1], seed=5)
+        vec = np.random.default_rng(0).normal(size=net.param_count)
+        copied = net.with_flat(vec)
+        net.set_flat(vec)
+        assert net.flatten().tobytes() == vec.tobytes() == copied.flatten().tobytes()
+        assert all(np.shares_memory(a, vec) for a in net.weights + net.biases)
+        assert not any(np.shares_memory(a, vec) for a in copied.weights + copied.biases)
 
 
 class TestGradParams:
@@ -300,6 +309,59 @@ class TestInPlaceKernelsBitIdentical:
         assert np.array_equal(net.grad_params_hinge_logit(X, weights=weights),
                               self._textbook_grad_params(net, acts, -active * weights))
         assert np.array_equal(X, X_before)
+
+    def test_one_workspace_across_row_counts(self):
+        rng = np.random.default_rng(9)
+        net = MlpClassifier([3, 16, 8, 1], seed=4)
+        workspace = Workspace()
+        earlier = []
+        for n in (40, 15, 60, 40):      # shrinks, then grows past the first size
+            X = rng.normal(size=(n, 3)) * 3.0
+            y = (rng.random(n) < 0.5).astype(float)
+            X_before = X.copy()
+            acts, z = self._textbook_forward(net, X)
+            p = _sigmoid_two_formulas(z)
+            clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+            pb = np.clip(clipped, BCE_CLIP, 1.0 - BCE_CLIP)
+            bce = float(-np.mean(y * np.log(pb) + (1.0 - y) * np.log(1.0 - pb)))
+            push_dz = 2.0 * (p - 1.0) * p * (1.0 - p)
+            rows = 2.0 * (clipped - 1.0)[:, None] * self._textbook_grad_input(
+                net, acts, (p * (1.0 - p))[:, None])
+
+            got_bce, got_bce_grad = net.bce_loss_and_grad(X, y, workspace)
+            assert got_bce == bce
+            assert np.array_equal(got_bce_grad, self._textbook_grad_params(net, acts, (p - y) / n))
+            got_push, got_push_grad, got_rows = net.squared_push_loss_and_grads(X, workspace)
+            assert got_push == float(np.mean((clipped - 1.0) ** 2))
+            assert np.array_equal(got_push_grad, self._textbook_grad_params(net, acts, push_dz / n))
+            assert np.array_equal(got_rows, rows)
+            assert np.array_equal(X, X_before)
+
+            buffers = list(workspace._flat.values())
+            assert buffers and all(buf.size >= n * min(net.layer_dims[1:-1]) for buf in buffers)
+            results = (got_bce_grad, got_push_grad, got_rows)
+            assert not any(np.shares_memory(r, buf) for r in results for buf in buffers)
+            for result, copy in earlier:
+                assert np.array_equal(result, copy)
+            earlier += [(r, r.copy()) for r in results]
+
+    def test_phase1_model_holds_no_workspace(self, monkeypatch):
+        made = []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(rl.adversary, "Workspace", Recorded)
+        ds = rl.make_synthetic(60, seed=1)
+        out = rl.adversary.phase1_fit(ds, rl.adversary.Phase1Config(steps=3, hidden=(8, 8)))
+        assert len(made) == 1 and made[0]._flat
+        buffers = list(made[0]._flat.values())
+        for net in (out.model, out.model.clone(), out.model.with_flat(out.model.flatten())):
+            assert not any(isinstance(v, Workspace) for v in vars(net).values())
+            params = net.weights + net.biases
+            assert not any(np.shares_memory(a, buf) for a in params for buf in buffers)
 
     def test_adam_steps(self):
         rng = np.random.default_rng(6)
