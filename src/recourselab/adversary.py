@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explainers
-from .data import Dataset
+from .data import DataError, Dataset
 from .explainers import CfObjective, Initializer, SearchBudget
 from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, Workspace,
                     adam_step, load_model, save_model)
@@ -633,7 +633,11 @@ def write_delta_csv(delta: np.ndarray, path) -> None:
 
 
 def read_delta_csv(path) -> np.ndarray:
+    """The perturbation `write_delta_csv` wrote; a DataError starting
+    "delta:" when a row after the header is not `feature,value`."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([float(row[1]) for row in reader])
+        rows = list(csv.reader(fh))[1:]
+    try:
+        return np.array([float(row[1]) for row in rows])
+    except (IndexError, ValueError):
+        raise DataError(f"delta: {path} has a row that is not 'feature,value'") from None

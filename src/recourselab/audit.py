@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import explainers
-from .data import Dataset
+from .data import DataError, Dataset
 from .explainers import CfObjective, CfResult, Initializer, SearchBudget
 from .model import MlpClassifier, accuracy
 
@@ -152,13 +152,15 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
     query (costs still measured from the clean points).  They are searched
     as three segments of one batch, each drawing its starts as a search of
     its own would, so the two non-protected conditions share theirs.
-    `delta=None` audits a plain model (zero perturbation).  Inputs are never
-    mutated.
+    `delta=None` audits a plain model (zero perturbation); a zero δ
+    repeats the non-protected segment, which `batch_explain` then searches
+    once.  A δ that is not one finite value per feature raises a DataError
+    (a ValueError) starting "delta:".  Inputs are never mutated.
     """
+    dvec = np.zeros(dataset.d) if delta is None else _checked_delta(delta, dataset.d)
     slices = dataset.group_slices(model, split="test")
     pr = dataset.features[slices["protected-neg"].indices]
     np_ = dataset.features[slices["nonprotected-neg"].indices]
-    dvec = np.zeros(dataset.d) if delta is None else np.asarray(delta, dtype=float)
 
     segments = (pr.shape[0], np_.shape[0], np_.shape[0])
     batch = explainers.batch_explain(
@@ -199,6 +201,16 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
         return AuditDetails(report=report,
                             results={name: run.results for name, run in runs.items()})
     return report
+
+
+def _checked_delta(delta, d: int) -> np.ndarray:
+    dvec = np.asarray(delta, dtype=float)
+    if dvec.shape != (d,):
+        raise DataError(f"delta: expected shape ({d},), one value per feature, "
+                        f"got shape {dvec.shape}")
+    if not np.isfinite(dvec).all():
+        raise DataError("delta: must be finite")
+    return dvec
 
 
 def _mean_or_nan(values) -> float:

@@ -299,6 +299,14 @@ def build_feature_mask(config: ExperimentConfig, d: int | None) -> tuple[bool, .
     return tuple(bool(v) for v in mutable)
 
 
+def _load_checkpoint(path, dataset: data.Dataset) -> model_mod.MlpClassifier:
+    """The saved model; a DataError unless it takes the dataset's features."""
+    net = model_mod.load_model(path)
+    if net.d != dataset.d:
+        raise data.DataError(f"checkpoint expects {net.d} features, dataset has {dataset.d}")
+    return net
+
+
 def build_objective(config: ExperimentConfig, d: int | None) -> explainers.CfObjective:
     ex = config.explainer
     return _library_object(
@@ -413,7 +421,7 @@ def cmd_attack(config: ExperimentConfig, out_dir: Path, deterministic: bool) -> 
 def cmd_audit(config: ExperimentConfig, out_dir: Path, deterministic: bool,
               model_path: str, delta_path: str | None) -> int:
     dataset = build_dataset(config)
-    net = model_mod.load_model(model_path)
+    net = _load_checkpoint(model_path, dataset)
     delta = adversary.read_delta_csv(delta_path) if delta_path else None
     details = audit_mod.run_audit(
         net, dataset, build_objective(config, dataset.d), delta=delta,
@@ -441,7 +449,7 @@ def cmd_explain(config: ExperimentConfig, out_dir: Path, deterministic: bool,
     dataset = build_dataset(config)
     if not (0 <= config.explain_index < dataset.n):
         raise ConfigError(f"explain_index: out of range 0..{dataset.n - 1}")
-    net = model_mod.load_model(model_path)
+    net = _load_checkpoint(model_path, dataset)
     x = dataset.features[config.explain_index]
     result = explainers.find_counterfactual(
         net, x, build_objective(config, dataset.d), dataset,

@@ -10,11 +10,14 @@ a row costs, read from the model's layer sizes (see `_row_target`).  One
 batch can carry several searches as segments of rows, each with its own cost
 reference per row and its own initializer draws: an audit and a phase-2
 evaluation search their three conditions (protected, non-protected,
-non-protected + δ) in one call.
+non-protected + δ) in one call.  A segment whose queries and references
+repeat an earlier segment's bytes is searched once: with δ = 0 the third
+condition gets copies of the second's results.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -554,13 +557,47 @@ def batch_explain(model, points, objective: CfObjective, dataset,
     The mean cost covers the found-valid subset only; failures are counted,
     not averaged.  `segments` (row counts, see `segment_slices`) stacks
     several searches into this one: each segment draws its random starts as
-    a call of its own would, and `split` recovers its summary.
+    a call of its own would, and `split` recovers its summary.  A segment
+    whose queries and cost references equal an earlier segment's, byte for
+    byte, would find what that segment found, so it is not searched again:
+    it gets copies of that segment's results, sharing no array with them.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         return _summarize([])
-    return _summarize(_search_many(model, points, objective, dataset, initializer, budget,
-                                   cost_reference, segments=segments))
+    slices = segment_slices(segments, points.shape[0])
+    refs = (points if cost_reference is None
+            else np.atleast_2d(np.asarray(cost_reference, dtype=float)))
+    first = _first_equal_segments(points, refs, slices)
+    kept = [i for i, j in enumerate(first) if i == j]
+    if len(kept) == len(slices):
+        return _summarize(_search_many(model, points, objective, dataset, initializer,
+                                       budget, cost_reference, segments=segments))
+    counts = [slices[i].stop - slices[i].start for i in kept]
+    found = _search_many(model, np.concatenate([points[slices[i]] for i in kept]),
+                         objective, dataset, initializer, budget,
+                         np.concatenate([refs[slices[i]] for i in kept]), segments=counts)
+    runs = dict(zip(kept, (found[s] for s in segment_slices(counts, len(found)))))
+    results: list[CfResult] = []
+    for i, j in enumerate(first):
+        results += runs[i] if i == j else [copy.deepcopy(r) for r in runs[j]]
+    return _summarize(results)
+
+
+def _first_equal_segments(points, refs, slices) -> list[int]:
+    """For each segment, the first segment holding the same bytes in its
+    queries and cost references: itself when no earlier one does.  A
+    `cost_reference` of the wrong shape matches nothing, and `_search_many`
+    rejects it."""
+    if refs.shape != points.shape:
+        return list(range(len(slices)))
+
+    def same(a, b):   # rows have one length, so equal bytes mean equal row counts
+        return (points[a].tobytes() == points[b].tobytes()
+                and refs[a].tobytes() == refs[b].tobytes())
+
+    return [next((j for j in range(i) if same(slices[j], s)), i)
+            for i, s in enumerate(slices)]
 
 
 def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,

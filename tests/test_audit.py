@@ -195,6 +195,22 @@ class TestRunAudit:
         n_pr = details.report.n_queries["protected"]
         assert len(details.results["protected"]) == n_pr
 
+    @pytest.mark.parametrize("delta, reason", [
+        ([0.5], r"expected shape \(2,\).*got shape \(1,\)"),
+        ([0.1, 0.2, 0.3], r"got shape \(3,\)"),
+        ([[0.1, 0.2]], r"got shape \(1, 2\)"),
+        ([float("nan"), 0.0], "must be finite"),
+        ([0.0, -float("inf")], "must be finite")],
+        ids=["one", "three", "row", "nan", "inf"])
+    def test_malformed_delta_rejected_before_search(self, synth_small, baseline_small,
+                                                    monkeypatch, delta, reason):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with a malformed delta")
+
+        monkeypatch.setattr(explainers, "_search_many", no_search)
+        with pytest.raises(ValueError, match=f"^delta: .*{reason}"):
+            run_audit(baseline_small, synth_small, CfObjective("wachter"), delta=delta)
+
     def test_reference_table_arithmetic(self):
         # recomputing disparity/reduction from published group means stays
         # within print rounding; two reference columns whose printed summary
@@ -232,6 +248,34 @@ def three_searches(model, dataset, objective, initializer, budget, delta):
     }
 
 
+def assert_matches_three_searches(details, runs, model, dataset):
+    """An audit's results and report equal those of its three searches."""
+    for name, run in runs.items():
+        merged = details.results[name]
+        assert len(merged) == len(run.results) > 0
+        for got, want in zip(merged, run.results):
+            assert (got.found, got.valid, got.iterations, got.lam_attempts,
+                    got.final_lam, got.optimizer) == (
+                want.found, want.valid, want.iterations, want.lam_attempts,
+                want.final_lam, want.optimizer)
+            assert_close(got.cost, want.cost)
+            if want.found:
+                np.testing.assert_allclose(got.x_cf, want.x_cf, rtol=1e-9, atol=1e-12)
+    report = details.report
+    costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
+    positives = true_positive_points(model, dataset)
+    assert_close(report.mean_cost_protected, runs["protected"].mean_cost)
+    assert_close(report.mean_cost_nonprotected, runs["nonprotected"].mean_cost)
+    assert_close(report.mean_cost_nonprotected_delta, runs["nonprotected_delta"].mean_cost)
+    assert_close(report.disparity, disparity(costs["protected"], costs["nonprotected"]))
+    assert_close(report.cost_reduction,
+                 cost_reduction(costs["nonprotected"], costs["nonprotected_delta"]))
+    for name, run in runs.items():
+        assert report.not_found[name] == run.not_found
+        assert_close(report.outlier_pct[name],
+                     outlier_percentage(run.results, positives, dataset.mad))
+
+
 class TestMergedAudit:
     DELTA = np.array([0.3, -0.2])
 
@@ -244,30 +288,33 @@ class TestMergedAudit:
                             initializer=initializer, budget=budget, return_details=True)
         runs = three_searches(baseline_small, synth_small, objective, initializer, budget,
                               self.DELTA)
-        for name, run in runs.items():
-            merged = details.results[name]
-            assert len(merged) == len(run.results) > 0
-            for got, want in zip(merged, run.results):
-                assert (got.found, got.valid, got.iterations, got.lam_attempts,
-                        got.final_lam, got.optimizer) == (
-                    want.found, want.valid, want.iterations, want.lam_attempts,
-                    want.final_lam, want.optimizer)
-                assert_close(got.cost, want.cost)
-                if want.found:
-                    np.testing.assert_allclose(got.x_cf, want.x_cf, rtol=1e-9, atol=1e-12)
-        report = details.report
-        costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
-        positives = true_positive_points(baseline_small, synth_small)
-        assert_close(report.mean_cost_protected, runs["protected"].mean_cost)
-        assert_close(report.mean_cost_nonprotected, runs["nonprotected"].mean_cost)
-        assert_close(report.mean_cost_nonprotected_delta, runs["nonprotected_delta"].mean_cost)
-        assert_close(report.disparity, disparity(costs["protected"], costs["nonprotected"]))
-        assert_close(report.cost_reduction,
-                     cost_reduction(costs["nonprotected"], costs["nonprotected_delta"]))
-        for name, run in runs.items():
-            assert report.not_found[name] == run.not_found
-            assert_close(report.outlier_pct[name],
-                         outlier_percentage(run.results, positives, synth_small.mad))
+        assert_matches_three_searches(details, runs, baseline_small, synth_small)
+
+    @pytest.mark.parametrize("delta", [None, np.zeros(2)], ids=["none", "zeros"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_zero_delta_searches_nonprotected_once(self, synth_small, baseline_small,
+                                                    monkeypatch, kind, delta):
+        objective = CfObjective(kind)
+        initializer = Initializer("random-uniform" if kind == "dice" else "origin", seed=4)
+        budget = SearchBudget(steps=150)
+        runs = three_searches(baseline_small, synth_small, objective, initializer, budget,
+                              np.zeros(2))
+        calls = []
+        search = explainers._search_many
+
+        def counted(*args, **kwargs):
+            calls.append(tuple(kwargs.get("segments")))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(explainers, "_search_many", counted)
+        details = run_audit(baseline_small, synth_small, objective, delta=delta,
+                            initializer=initializer, budget=budget, return_details=True)
+        n = details.report.n_queries
+        assert calls == [(n["protected"], n["nonprotected"])]
+        assert_matches_three_searches(details, runs, baseline_small, synth_small)
+        assert details.report.cost_reduction == 1.0 and details.report.delta_l1 == 0.0
+        for a, b in zip(details.results["nonprotected"], details.results["nonprotected_delta"]):
+            assert a is not b
 
     def test_one_search_call(self, synth_small, baseline_small, monkeypatch):
         calls = []

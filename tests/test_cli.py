@@ -210,6 +210,23 @@ class TestAuditCommand:
         assert code == 1
         assert "gone.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "feature,delta\n0,0.5\n", "feature,delta\n0,0.1\n1,0.2\n2,0.3\n",
+        "feature,delta\n0,nan\n1,0.0\n", "feature,delta\n0,abc\n1,0.1\n",
+        "feature,delta\n0\n1,0.1\n", ""],
+        ids=["one", "three", "nan", "not-a-number", "no-value", "empty"])
+    def test_malformed_delta_one_error_line(self, tmp_path, checkpoint, capsys, text):
+        cfg, model_path = checkpoint
+        delta_path = tmp_path / "delta.csv"
+        delta_path.write_text(text)
+        out = tmp_path / "audit"
+        code = main(["audit", "--config", cfg, "--model", model_path,
+                     "--delta", str(delta_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta: ") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
     def test_env_var_output_dir(self, tmp_path, checkpoint, monkeypatch):
         cfg, model_path = checkpoint
         env_out = tmp_path / "from_env"
@@ -217,6 +234,20 @@ class TestAuditCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["audit", "--config", cfg, "--model", model_path]) == 0
         assert (env_out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "explain"])
+def test_checkpoint_of_other_width_one_error_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, tiny_config(explain_index=0))
+    d = cli.build_dataset(load_config(cfg)).d
+    model_path = tmp_path / "wide.npz"
+    model_mod.save_model(model_mod.MlpClassifier([d + 1, 4, 1], seed=0), model_path)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--model", str(model_path), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: checkpoint expects {d + 1} features, dataset has {d}\n"
+    assert captured.out == "" and not (out / "report.json").exists()
 
 
 class TestExplainCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import recourselab as rl
 from recourselab import explainers
 from recourselab.explainers import (
-    INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, ExplainError,
-    Initializer, SearchBudget,
+    INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, CfResult,
+    ExplainError, Initializer, SearchBudget,
     _initial_candidates, _objective_grads, _prototype_pool, _snap_to_query, batch_explain,
     dist_wachter, find_counterfactual, nearest_predicted_positive, results_to_csv,
     sensitivity_probe,
@@ -382,21 +383,21 @@ class TestObjectiveKernel:
             assert out[i].tobytes() == ref[i].tobytes()
 
 
-def _outcome(r):
-    return (r.found, r.valid, r.lam_attempts, r.iterations, r.final_lam, r.optimizer,
-            r.candidate_index)
-
-
 def _assert_same_results(got, want):
+    """Every `CfResult` field equal: exactly, or up to rounding from the
+    changed batch for the floating-point ones."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert _outcome(a) == _outcome(b)
-        if a.found:
-            np.testing.assert_allclose(a.x_cf, b.x_cf, rtol=1e-9, atol=1e-12)
-            assert a.cost == pytest.approx(b.cost, rel=1e-9, abs=1e-12)
-        assert (a.candidates is None) == (b.candidates is None)
-        if a.candidates is not None:
-            np.testing.assert_allclose(a.candidates, b.candidates, rtol=1e-9, atol=1e-12)
+        for f in dataclasses.fields(CfResult):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name in ("x_cf", "candidates"):
+                assert (x is None) == (y is None), f.name
+                if x is not None:
+                    np.testing.assert_allclose(x, y, rtol=1e-9, atol=1e-12)
+            elif f.name == "cost":
+                assert x == pytest.approx(y, rel=1e-9, abs=1e-12, nan_ok=True)
+            else:
+                assert x == y, f.name
 
 
 def _count_rounds(monkeypatch) -> list:
@@ -715,6 +716,109 @@ class TestSegments:
         assert parts[0].results == out.results[:2] and parts[2].results == out.results[2:]
         assert np.isnan(parts[1].mean_cost) and parts[1].not_found == 0
         assert parts[2].mean_cost == np.mean([r.cost for r in out.results[2:] if r.valid])
+
+
+def _field_bits(r) -> tuple:
+    """Every field of a result, arrays as their bytes."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                 for v in (getattr(r, f.name) for f in dataclasses.fields(r)))
+
+
+def _record_searches(monkeypatch) -> list:
+    """(queries, references, segments) of each `_search_many` call."""
+    calls = []
+    search = explainers._search_many
+
+    def recording(model, queries, objective, dataset, initializer, budget, cost_reference,
+                  segments=None):
+        refs = queries if cost_reference is None else cost_reference
+        calls.append((np.array(queries), np.array(refs),
+                      None if segments is None else tuple(segments)))
+        return search(model, queries, objective, dataset, initializer, budget,
+                      cost_reference, segments=segments)
+
+    monkeypatch.setattr(explainers, "_search_many", recording)
+    return calls
+
+
+class TestRepeatedSegments:
+    """A segment whose queries and cost references repeat an earlier
+    segment's bytes is searched once and gets copies of its results."""
+
+    BUDGET = SearchBudget(steps=60)
+
+    @staticmethod
+    def _queries(dataset, model):
+        rows = negative_test_rows(dataset, model)
+        return dataset.features[rows[:4]], dataset.features[rows[4:7]]
+
+    @pytest.mark.parametrize("layout", ["aba", "abb"])
+    @pytest.mark.parametrize("init", ["origin", "random-uniform", "gaussian-jitter"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_equals_per_segment_calls(self, kind, init, layout, monkeypatch,
+                                      synth_small, baseline_small):
+        a, b = self._queries(synth_small, baseline_small)
+        parts = [{"a": a, "b": b}[c] for c in layout]
+        segments = [len(p) for p in parts]
+        objective, initializer = CfObjective(kind), Initializer(init, seed=2)
+        args = (objective, synth_small, initializer, self.BUDGET)
+        alone = [batch_explain(baseline_small, p, *args).results for p in parts]
+        calls = _record_searches(monkeypatch)
+        out = batch_explain(baseline_small, np.concatenate(parts), *args, segments=segments)
+        assert len(calls) == 1
+        queries, refs, searched = calls[0]
+        assert searched == (len(a), len(b))
+        assert queries.tobytes() == refs.tobytes() == np.concatenate([a, b]).tobytes()
+        split = out.split(segments)
+        for got, want in zip(split, alone):
+            _assert_same_results(got.results, want)
+        source = split[layout.index(layout[2])].results
+        assert [_field_bits(r) for r in split[2].results] == [_field_bits(r) for r in source]
+
+    @pytest.mark.parametrize("kind", ["wachter", "dice"])
+    def test_copies_share_no_array(self, kind, synth_small, baseline_small):
+        a, b = self._queries(synth_small, baseline_small)
+        segments = (len(a), len(b), len(a))
+        out = batch_explain(baseline_small, np.concatenate([a, b, a]), CfObjective(kind),
+                            synth_small, Initializer("random-uniform", seed=2), self.BUDGET,
+                            segments=segments)
+        first, _, again = out.split(segments)
+        assert any(r.found for r in first.results)
+        for r, c in zip(first.results, again.results):
+            assert c is not r
+            for name in ("x_cf", "candidates"):
+                x, y = getattr(r, name), getattr(c, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert not np.shares_memory(x, y)
+            if c.found:
+                before = r.x_cf.tobytes()
+                c.x_cf += 1.0
+                assert r.x_cf.tobytes() == before
+
+    def test_equal_queries_other_references_both_searched(self, monkeypatch, synth_small,
+                                                          baseline_small):
+        a, _ = self._queries(synth_small, baseline_small)
+        refs = np.concatenate([a, a + 0.25])
+        calls = _record_searches(monkeypatch)
+        out = batch_explain(baseline_small, np.concatenate([a, a]), CfObjective("wachter"),
+                            synth_small, budget=self.BUDGET, cost_reference=refs,
+                            segments=(len(a), len(a)))
+        assert [c[2] for c in calls] == [(len(a), len(a))]
+        assert calls[0][1].tobytes() == refs.tobytes()
+        assert any(r.found for r in out.results)
+        for ref, r in zip(refs, out.results):
+            if r.found:
+                assert r.cost == dist_wachter(ref, r.x_cf, synth_small.mad)
+
+    def test_no_repeat_passes_the_call_through(self, monkeypatch, synth_small,
+                                               baseline_small):
+        a, b = self._queries(synth_small, baseline_small)
+        calls = _record_searches(monkeypatch)
+        batch_explain(baseline_small, np.concatenate([a, b, a + 0.1]), CfObjective("wachter"),
+                      synth_small, budget=self.BUDGET,
+                      cost_reference=np.concatenate([a, b, a]), segments=[4, 3, 4])
+        assert [c[2] for c in calls] == [(4, 3, 4)]
 
 
 def test_sensitivity_probe(synth_small, baseline_small):
