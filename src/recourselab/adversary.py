@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
 
@@ -297,18 +297,25 @@ def _search_terms(model, conditions, objective, dataset, initializer,
 
     `conditions` is a list of (origins, queries) pairs; each is one segment
     of the batch, so it draws its starts as a search of its own would, and
-    its costs are measured from its origins.
+    its costs are measured from its origins.  A condition whose origins and
+    queries repeat an earlier one's bytes (δ = 0) gets that condition's
+    results from the search, so it also gets copies of its gradient and
+    counts instead of a second implicit step.
     """
     segments = tuple(len(queries) for _, queries in conditions)
     origins = np.concatenate([o for o, _ in conditions])
     queries = np.concatenate([q for _, q in conditions])
     batch = explainers.batch_explain(model, queries, objective, dataset, initializer,
                                      budget, cost_reference=origins, segments=segments)
+    slices = explainers.segment_slices(segments, len(queries))
+    first = explainers._first_equal_segments(queries, origins, slices)
     terms = []
-    for s, part in zip(explainers.segment_slices(segments, len(queries)),
-                       batch.split(segments)):
-        grad, counts = batch_hypergradient(model, origins[s], queries[s], part.results,
-                                           objective, dataset)
+    for i, (s, part) in enumerate(zip(slices, batch.split(segments))):
+        if first[i] == i:
+            grad, counts = batch_hypergradient(model, origins[s], queries[s], part.results,
+                                               objective, dataset)
+        else:
+            grad, counts = terms[first[i]].grad.copy(), replace(terms[first[i]].counts)
         terms.append(_BatchTerm(results=part.results, mean_cost=part.mean_cost, grad=grad,
                                 counts=counts))
     return terms

@@ -301,9 +301,23 @@ def build_feature_mask(config: ExperimentConfig, d: int | None) -> tuple[bool, .
 
 def _load_checkpoint(path, dataset: data.Dataset) -> model_mod.MlpClassifier:
     """The saved model; a DataError unless it takes the dataset's features."""
-    net = model_mod.load_model(path)
+    return _check_width(model_mod.load_model(path), dataset, "checkpoint")
+
+
+def _load_sweep_artifact(path, dataset: data.Dataset) -> adversary.AdversarialArtifact:
+    """The saved attack; a DataError unless its model and its δ both take the
+    dataset's features."""
+    artifact = adversary.load_artifact(path)
+    _check_width(artifact.model, dataset, "sweep.artifact: model")
+    if artifact.delta.shape != (dataset.d,):
+        raise data.DataError(f"sweep.artifact: delta has {artifact.delta.size} values, "
+                             f"dataset has {dataset.d} features")
+    return artifact
+
+
+def _check_width(net: model_mod.MlpClassifier, dataset: data.Dataset, what: str):
     if net.d != dataset.d:
-        raise data.DataError(f"checkpoint expects {net.d} features, dataset has {dataset.d}")
+        raise data.DataError(f"{what} expects {net.d} features, dataset has {dataset.d}")
     return net
 
 
@@ -496,7 +510,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, deterministic: bool) -> i
         # the search initializer is an audit-time choice: train one artifact,
         # audit it once per initializer
         if sweep.artifact:
-            shared_artifact = adversary.load_artifact(sweep.artifact)
+            shared_artifact = _load_sweep_artifact(sweep.artifact, dataset)
         else:
             phase1_cfg, phase2_cfg = _phase_configs(config, dataset.d)
             shared_artifact = adversary.run_attack(dataset, phase1_cfg, phase2_cfg)

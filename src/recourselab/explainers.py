@@ -6,8 +6,10 @@ Adam steps on the objective's gradient; the weight on the validity term
 escalates geometrically whenever an attempt ends invalid.  Spare batch rows
 run a query's next escalation levels speculatively; each query keeps the
 first level that succeeds.  How many rows a round aims for follows from what
-a row costs, read from the model's layer sizes (see `_row_target`).  One
-batch can carry several searches as segments of rows, each with its own cost
+a row costs, read from the model's layer sizes (see `_row_target`).  A
+round big enough to keep two CPUs busy runs its rows as two halves on two
+threads, with the bits of the whole round (see `_run_attempt`).  One batch
+can carry several searches as segments of rows, each with its own cost
 reference per row and its own initializer draws: an audit and a phase-2
 evaluation search their three conditions (protected, non-protected,
 non-protected + δ) in one call.  A segment whose queries and references
@@ -18,6 +20,7 @@ condition gets copies of the second's results.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,9 +40,15 @@ SEARCH_ROWS = 96
 # Multiply-adds that cost about as much as one descent step's fixed per-call
 # overhead.  On a 2-vCPU machine with one BLAS thread, a kernel call on a
 # 32x32 net (1,120 weights) took 77 µs for 1 row, 136 µs for 96 and 306 µs
-# for 384, while a row of a 4x200 net (140,000 weights) cost about 21 µs.
-# `_row_target` gives the first 468 rows and the second `SEARCH_ROWS`.
+# for 384, while a row of a 4x200 net (140,000 weights) cost about 19.5 µs
+# in a 90-row round and 26.6 µs in an 18-row one.  `_row_target` gives the
+# first 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
+
+# Multiply-adds per descent step from which a round's rows run as two halves
+# on two threads (`_run_attempt`): a 4x200 net's rounds from 60 rows, so
+# every full-scale round; never a 32x32 net's (468 rows are 0.5M).
+SPLIT_MACS = 1 << 23
 
 # The escalation schedule: the validity weight doubles up to MAX_DOUBLINGS
 # times; dice divides lam1 by 10 down to LAM1_FLOOR.
@@ -369,7 +378,37 @@ def _random_starts(initializer, base, dataset):
 def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
     """One escalation attempt per row: `budget.steps` Adam steps from
     `starts`, then the sparsity snap.  Returns (candidates (n, k, d),
-    probabilities (n, k))."""
+    probabilities (n, k)).
+
+    Rows are independent, so a round whose steps carry at least `SPLIT_MACS`
+    multiply-adds runs as two halves when a CPU is spare (`_spare_cpu`):
+    the second half on a worker thread, since numpy releases the interpreter
+    lock inside BLAS.  The cut falls on a multiple of 4 rows.  OpenBLAS
+    computes the one-unit output layer with gemv, which gives a row's logit
+    other bits when the row lies among a batch's last `rows mod 4`; a
+    4-aligned cut leaves every row where it was in that pattern, so the
+    halves give the unsplit bits.  Whether the worker runs never moves the
+    cut.
+    """
+    n, k, _ = starts.shape
+    args = (objective, mad, mutable, budget, proto_pool)
+    cut = 4 * ((n + 7) // 8)
+    if cut >= n or n * k * _weight_count(model) < SPLIT_MACS or not _spare_cpu():
+        return _descend(model, queries, starts, lam, *args)
+    # imported here: the package (logging with it) adds 0.6 MB to every
+    # process, and only a split round needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(_descend, model, queries[cut:], starts[cut:], lam[cut:], *args)
+        first = _descend(model, queries[:cut], starts[:cut], lam[:cut], *args)
+        rest = second.result()
+    return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
+
+
+def _descend(model, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
+    """`_run_attempt` on one set of rows, in the calling thread."""
     n, k, d = starts.shape
     C = starts
     state = AdamState(lr=budget.lr)
@@ -381,6 +420,25 @@ def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget, p
         C = adam_step(state, C, grad)
     probs = model.forward(C.reshape(n * k, d)).reshape(n, k)
     return _snap_to_query(model, queries, C, probs, budget)
+
+
+def _spare_cpu() -> bool:
+    """Whether a worker thread would find a CPU idle: at least two are usable
+    and the environment pins BLAS to one thread.  A threaded BLAS already
+    runs on the other CPUs, and beside it a split full-scale round ran about
+    1.8x slower than an unsplit one.
+    With a threaded BLAS a row's bits also depend on BLAS's thread count,
+    since its gemv splits rows among its threads."""
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return blas_threads == "1" and _usable_cpus() >= 2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _snap_to_query(model, queries, C, probs, budget):
@@ -419,7 +477,12 @@ def _row_target(model) -> int:
     multiply-adds match its fixed per-call overhead, and at least
     `SEARCH_ROWS`.  It reads only the layer sizes, never a clock, so the
     schedule is the same on every run."""
-    return max(SEARCH_ROWS, STEP_MACS // sum(w.size for w in model.weights))
+    return max(SEARCH_ROWS, STEP_MACS // _weight_count(model))
+
+
+def _weight_count(model) -> int:
+    """Multiply-adds of one row's forward pass."""
+    return sum(w.size for w in model.weights)
 
 
 def _search_many(model, queries, objective, dataset, initializer, budget,

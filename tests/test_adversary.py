@@ -616,6 +616,24 @@ def assert_steps_close(got, want, rel=1e-9):
             assert other == value, name
 
 
+def search_terms_each(model, conditions, objective, dataset, initializer, budget):
+    """`adversary._search_terms` taking every condition's implicit step, also
+    for a condition that repeats an earlier one: the reference for the reuse."""
+    segments = tuple(len(queries) for _, queries in conditions)
+    origins = np.concatenate([o for o, _ in conditions])
+    queries = np.concatenate([q for _, q in conditions])
+    batch = explainers.batch_explain(model, queries, objective, dataset, initializer,
+                                     budget, cost_reference=origins, segments=segments)
+    terms = []
+    for s, part in zip(explainers.segment_slices(segments, len(queries)),
+                       batch.split(segments)):
+        grad, counts = adversary.batch_hypergradient(model, origins[s], queries[s],
+                                                     part.results, objective, dataset)
+        terms.append(adversary._BatchTerm(results=part.results, mean_cost=part.mean_cost,
+                                          grad=grad, counts=counts))
+    return terms
+
+
 class TestMergedPhase2:
     DELTA = np.array([0.3, -0.2])
 
@@ -659,6 +677,41 @@ class TestMergedPhase2:
         assert len(calls) == len(art.phase2_steps) == 2
         n_pr, n_np, n_np2 = calls[0]
         assert n_np == n_np2 and 0 < n_pr <= 12 and 0 < n_np <= 12
+
+    def test_zero_delta_differentiates_the_clean_condition_once(self, monkeypatch):
+        ds = rl.make_synthetic(40, seed=3)
+
+        def attack():
+            return adversary.run_attack(ds, mini_phase1(steps=0), mini_phase2(steps=1))
+
+        calls = []
+        hypergradient = adversary.batch_hypergradient
+
+        def counted(*args):
+            calls.append(args)
+            return hypergradient(*args)
+
+        monkeypatch.setattr(adversary, "batch_hypergradient", counted)
+        art = attack()
+        assert not art.delta.any() and len(art.phase2_steps) == 2
+        assert len(calls) == 4        # protected and non-protected, per evaluation
+        monkeypatch.setattr(adversary, "_search_terms", search_terms_each)
+        want = attack()
+        # repr: equal bits, a NaN cost included
+        assert [repr(dataclasses.astuple(s)) for s in art.phase2_steps] == \
+            [repr(dataclasses.astuple(s)) for s in want.phase2_steps]
+        assert art.model.flatten().tobytes() == want.model.flatten().tobytes()
+
+    def test_repeated_condition_gets_copies(self, synth_small, baseline_small):
+        config = mini_phase2()
+        rows = synth_small.features[negative_test_rows(synth_small, baseline_small)[:6]]
+        args = (config.objective, synth_small, config.initializer, config.budget)
+        conditions = [(rows[:3], rows[:3]), (rows[3:], rows[3:]), (rows[3:], rows[3:])]
+        got = adversary._search_terms(baseline_small, conditions, *args)
+        want = search_terms_each(baseline_small, conditions, *args)
+        for a, b in zip(got, want):
+            assert a.grad.tobytes() == b.grad.tobytes() and a.counts == b.counts
+        assert got[2].grad is not got[1].grad and got[2].counts is not got[1].counts
 
     @pytest.mark.parametrize("empty", [0, 1])
     def test_empty_condition_terms(self, synth_small, baseline_small, empty):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import recourselab.cli as cli
-from recourselab import explainers, model as model_mod
+from recourselab import adversary, explainers, model as model_mod
 from recourselab.cli import ConfigError, config_hash, load_config, main, parse_config
 
 
@@ -358,6 +358,27 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: sweep.values[{bad}]: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("part", ["model", "delta"])
+    def test_artifact_of_other_width_one_error_line(self, tmp_path, capsys, part):
+        cfg = write_config(tmp_path, tiny_config())
+        d = cli.build_dataset(load_config(cfg)).d
+        art_dir = tmp_path / "art"
+        art = adversary.AdversarialArtifact(
+            model=model_mod.MlpClassifier([d + (part == "model"), 4, 1], seed=0),
+            delta=np.zeros(d + (part == "delta")), phase1_loss_trace=np.empty(0),
+            phase1_delta_l1_trace=np.empty(0), phase2_steps=[], constraint_satisfied=False,
+            explainer_kind="wachter")
+        adversary.save_artifact(art, art_dir)
+        blob = tiny_config(sweep={"axis": "initializer", "values": ["origin", "origin"],
+                                  "artifact": str(art_dir)})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, blob), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        want = (f"model expects {d + 1} features, dataset has {d}" if part == "model"
+                else f"delta has {d + 1} values, dataset has {d} features")
+        assert captured.err == f"error: sweep.artifact: {want}\n"
+        assert captured.out == "" and not (out / "cells").exists()
 
     def test_deterministic_sweep_csv(self, tmp_path):
         blob = tiny_config(sweep={"axis": "initializer", "values": ["origin"]})

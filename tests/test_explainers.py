@@ -1,5 +1,12 @@
+import concurrent.futures
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,6 +571,159 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
     got = batch_explain(*args).results
     assert len(rounds) < max(len(r.lam_attempts) for r in want)
     _assert_same_results(got, want)
+
+
+FULL_SCALE_LAYERS = [99, 200, 200, 200, 200, 1]
+PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# (objective, query rows, feature mask, starts): row counts across 40-200
+# with every residue mod 4; one dice case runs k = 4 candidates a row
+SPLIT_CASES = [("wachter", 40, False, "origin"), ("wachter", 61, True, "gaussian-jitter"),
+               ("sparse-wachter", 94, False, "gaussian-jitter"),
+               ("prototypes", 107, True, "origin"), ("prototypes", 152, False, "gaussian-jitter"),
+               ("dice", 45, False, "gaussian-jitter"), ("dice", 50, True, "origin"),
+               ("wachter", 199, False, "gaussian-jitter")]
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("a worker thread was started")
+
+
+def _attempt_halves(monkeypatch, *args) -> tuple:
+    """`_run_attempt(*args)`, and for each `_descend` call it made whether
+    that ran on the main thread."""
+    threads = []
+    descend = explainers._descend
+
+    def recording(*a):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return descend(*a)
+
+    monkeypatch.setattr(explainers, "_descend", recording)
+    return explainers._run_attempt(*args), threads
+
+
+def _round_on(cpus: int, args) -> tuple:
+    """`_attempt_halves` with `cpus` usable CPUs and every round big enough
+    to split; with one CPU, starting a worker thread fails."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(explainers, "_usable_cpus", lambda: cpus)
+        m.setattr(explainers, "SPLIT_MACS", 0)
+        if cpus == 1:
+            m.setattr(concurrent.futures, "ThreadPoolExecutor", _raise_if_called)
+        return _attempt_halves(m, *args)
+
+
+def split_round_mismatches() -> list:
+    """The `SPLIT_CASES` whose round on a 4x200 net gives other bytes split
+    over two threads than whole, or did not run as asked.
+
+    Run with BLAS pinned to one thread (`test_split_round_keeps_the_bits`):
+    a threaded BLAS splits rows among its own threads, so its bits depend on
+    how many rows a call carries.
+    """
+    net = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
+    d = net.d
+    rng = np.random.default_rng(4)
+    mad = rng.uniform(0.5, 2.0, d)
+    pool = rng.normal(size=(40, d))
+    proto_pool = (pool, (pool ** 2).sum(axis=1))
+    budget = SearchBudget(steps=3)
+    bad = []
+    for kind, n, masked, init in SPLIT_CASES:
+        k = 4 if kind == "dice" else 1
+        mutable = np.arange(d) % 3 > 0 if masked else np.ones(d, dtype=bool)
+        queries = rng.normal(size=(n, d))
+        starts = _initial_candidates(Initializer(init, seed=1), queries, k, net, None, mutable)
+        lam = (10.0 ** -rng.integers(0, 4, n) if kind == "dice"
+               else 2.0 ** rng.integers(0, 12, n))
+        args = (net, queries, starts, lam, CfObjective(kind, k=k), mad, mutable, budget,
+                proto_pool)
+        whole, whole_threads = _round_on(1, args)
+        split, split_threads = _round_on(2, args)
+        same = all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
+        if not (same and whole_threads == [True] and sorted(split_threads) == [False, True]):
+            bad.append([kind, n, masked, init, same, whole_threads, split_threads])
+    return bad
+
+
+class TestSplitRounds:
+    """A big round runs its rows as two halves, the second on a worker
+    thread, with the bits of the whole round."""
+
+    def test_split_round_keeps_the_bits(self):
+        # in a fresh interpreter: BLAS reads its thread count once, at load
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(p for p in (str(here), str(here.parent / "src"),
+                                           os.environ.get("PYTHONPATH")) if p)
+        code = ("import json, test_explainers as t; "
+                "print(json.dumps(t.split_round_mismatches()))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path},
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == []
+
+    @pytest.mark.parametrize("layers, rows, k, splits", [
+        (FULL_SCALE_LAYERS, 96, 1, True),      # a full-scale round
+        (FULL_SCALE_LAYERS, 60, 1, True),      # 60 x 140,000 >= 2^23
+        (FULL_SCALE_LAYERS, 59, 1, False),
+        (FULL_SCALE_LAYERS, 15, 4, True),      # dice counts its k candidates
+        ([2, 32, 32, 1], 468, 1, False),       # the desk net's widest round
+        ([2, 32, 32, 1], 117, 4, False),
+    ])
+    def test_split_rule(self, monkeypatch, layers, rows, k, splits):
+        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
+        net = rl.MlpClassifier(layers, seed=0)
+        queries = np.zeros((rows, net.d))
+        args = (net, queries, np.repeat(queries[:, None], k, axis=1), np.ones(rows),
+                CfObjective("dice" if k > 1 else "wachter", k=k), np.ones(net.d),
+                np.ones(net.d, dtype=bool), SearchBudget(steps=1), None)
+        (cands, probs), threads = _attempt_halves(monkeypatch, *args)
+        assert len(threads) == (2 if splits else 1)
+        assert cands.shape == (rows, k, net.d) and probs.shape == (rows, k)
+
+    @pytest.mark.parametrize("blas, cpus, spare", [
+        ("1", 2, True), ("1", 1, False), ("2", 2, False), (None, 2, False)])
+    def test_spare_cpu_needs_two_cpus_and_one_blas_thread(self, monkeypatch, blas, cpus,
+                                                         spare):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        monkeypatch.setattr(explainers, "_usable_cpus", lambda: cpus)
+        assert explainers._spare_cpu() is spare
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, synth_small,
+                                                 baseline_small):
+        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(explainers, "SPLIT_MACS", 0)
+        descend = explainers._descend
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker half")
+            return descend(*args)
+
+        monkeypatch.setattr(explainers, "_descend", failing_off_main)
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker half"):
+            batch_explain(baseline_small, X, CfObjective("wachter"), synth_small,
+                          budget=SearchBudget(steps=5))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["wachter", "dice"])
+    def test_desk_audit_starts_no_thread(self, monkeypatch, desk_audit, kind):
+        ds, net, _ = desk_audit
+        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _raise_if_called)
+        init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
+        report = rl.audit.run_audit(net, ds, CfObjective(kind), delta=np.array([0.3, -0.2]),
+                                    initializer=init, budget=SearchBudget(steps=50),
+                                    lof=False)
+        assert sum(report.not_found.values()) < sum(report.n_queries.values())
 
 
 def test_dice_lam1_below_floor_rejected(synth_small, baseline_small):
