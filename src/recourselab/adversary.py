@@ -617,18 +617,24 @@ def save_artifact(artifact: AdversarialArtifact, directory) -> dict[str, str]:
 
 
 def load_artifact(directory) -> AdversarialArtifact:
+    """The artifact `save_artifact` wrote; a DataError naming the file that
+    is not what it wrote there."""
     directory = Path(directory)
     net = load_model(directory / "model.npz")
     delta = read_delta_csv(directory / "delta.csv")
-    telemetry = json.loads((directory / "telemetry.json").read_text())
-    steps = [Phase2Step(**s) for s in telemetry["phase2"]["steps"]]
-    return AdversarialArtifact(
-        model=net, delta=delta,
-        phase1_loss_trace=np.array(telemetry["phase1"]["loss_trace"]),
-        phase1_delta_l1_trace=np.array(telemetry["phase1"]["delta_l1_trace"]),
-        phase2_steps=steps,
-        constraint_satisfied=telemetry["phase2"]["constraint_satisfied"],
-        explainer_kind=telemetry["phase2"]["explainer"])
+    telemetry_path = directory / "telemetry.json"
+    try:
+        telemetry = json.loads(telemetry_path.read_text())
+        return AdversarialArtifact(
+            model=net, delta=delta,
+            phase1_loss_trace=np.array(telemetry["phase1"]["loss_trace"], dtype=float),
+            phase1_delta_l1_trace=np.array(telemetry["phase1"]["delta_l1_trace"],
+                                           dtype=float),
+            phase2_steps=[Phase2Step(**s) for s in telemetry["phase2"]["steps"]],
+            constraint_satisfied=telemetry["phase2"]["constraint_satisfied"],
+            explainer_kind=telemetry["phase2"]["explainer"])
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{telemetry_path} is not an attack's telemetry") from None
 
 
 def write_delta_csv(delta: np.ndarray, path) -> None:

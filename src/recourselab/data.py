@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -237,13 +238,19 @@ class CsvSchema:
 
 
 def _parse_cell(text: str, column: str, line: int) -> float:
+    """The cell's number, or nan when it is missing; a DataError for text
+    that is not a finite number (`inf`, `1e999`), which standardization would
+    spread to the whole column."""
     text = text.strip()
     if text in ("", "?", "NA", "nan"):
         return np.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataError(f"line {line}: cannot parse {column}={text!r} as a number") from None
+        value = None
+    if value is None or math.isinf(value):
+        raise DataError(f"line {line}: cannot parse {column}={text!r} as a number")
+    return value
 
 
 def load_csv(path, schema: CsvSchema, seed: int = 0) -> Dataset:

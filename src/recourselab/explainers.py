@@ -6,15 +6,17 @@ Adam steps on the objective's gradient; the weight on the validity term
 escalates geometrically whenever an attempt ends invalid.  Spare batch rows
 run a query's next escalation levels speculatively; each query keeps the
 first level that succeeds.  How many rows a round aims for follows from what
-a row costs, read from the model's layer sizes (see `_row_target`).  A
-round big enough to keep two CPUs busy runs its rows as two halves on two
-threads, with the bits of the whole round (see `_run_attempt`).  One batch
-can carry several searches as segments of rows, each with its own cost
-reference per row and its own initializer draws: an audit and a phase-2
-evaluation search their three conditions (protected, non-protected,
-non-protected + δ) in one call.  A segment whose queries and references
-repeat an earlier segment's bytes is searched once: with δ = 0 the third
-condition gets copies of the second's results.
+a row costs, read from the model's layer sizes (see `_row_target`).  The
+engine reads the model through one `model.FrozenNet` per search, so each
+row's bits are independent of its batch: a round big enough to keep two
+CPUs busy runs its rows as two halves on two threads, with the bits of the
+whole round (see `_run_attempt`).  One batch can carry several searches as
+segments of rows, each with its own cost reference per row and its own
+initializer draws: an audit and a phase-2 evaluation search their three
+conditions (protected, non-protected, non-protected + δ) in one call.  A
+segment whose queries and references repeat an earlier segment's bytes is
+searched once: with δ = 0 the third condition gets copies of the second's
+results.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AdamState, adam_step
+from .model import AdamState, FrozenNet, _row_matmul, adam_step
 
 OBJECTIVE_KINDS = ("wachter", "sparse-wachter", "prototypes", "dice")
 INITIALIZER_KINDS = ("origin", "random-uniform", "positive-mean", "gaussian-jitter")
@@ -201,18 +203,21 @@ def _predicted_positive_train(model, dataset) -> np.ndarray:
     return pos
 
 
-def _prototype_pool(model, dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The positively predicted train rows and their squared norms, computed
-    once for every nearest-row lookup of a search."""
+def _prototype_pool(model, dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positively predicted train rows, a contiguous copy of their
+    transpose and their squared norms, computed once for every nearest-row
+    lookup of a search."""
     pool = _predicted_positive_train(model, dataset)
-    return pool, (pool ** 2).sum(axis=1)
+    return pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1)
 
 
 def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
-    pool, pool_sq = proto_pool
+    pool, pool_t, pool_sq = proto_pool
     # |p|^2 - 2 p.q + |q|^2 in place; scaling by -2 is exact, so the sums
-    # carry the same bits as the textbook expression.
-    sq = (-2.0 * points) @ pool.T
+    # carry the same bits as the textbook expression.  The contiguous
+    # transpose keeps each row's bits independent of its batch, as the
+    # model's row rule does.
+    sq = _row_matmul(-2.0 * points, pool_t)
     sq += (points ** 2).sum(axis=1)[:, None]
     sq += pool_sq
     return pool[np.argmin(sq, axis=1)]
@@ -220,13 +225,14 @@ def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
 
 # -- objective gradient kernels ---------------------------------------------------
 
-def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
+def _objective_grads(net, queries, C, lam, objective, mad, proto_pool):
     """Gradient of the search objective for a batch of candidates.
 
-    `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
-    `lam` is the validity weight (dice: `lam1`), a scalar or one per query;
-    each row's arithmetic is the same either way.  `proto_pool` is
-    `_prototype_pool`'s pair (prototypes only).  Returns a gradient like `C`.
+    `net` is the search's `FrozenNet`.  `C` has shape (n, k, d) with k=1 for
+    the single-candidate objectives.  `lam` is the validity weight (dice:
+    `lam1`), a scalar or one per query; each row's arithmetic is the same
+    either way.  `proto_pool` is `_prototype_pool`'s triple (prototypes
+    only).  Returns a gradient like `C`.
     The l1 pieces use the sign subgradient (0 at kinks).
     """
     n, k, d = C.shape
@@ -237,7 +243,7 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
         lam = np.broadcast_to(lam, (n,))
 
     if objective.kind == "dice":
-        glog, _, logits = model.grad_input_full(flat, wrt="logit")
+        glog, _, logits = net.grad_input_full(flat, wrt="logit")
         grad = glog.reshape(n, k, d)
         logits = logits.reshape(n, k)
         lam1, lam2 = lam, objective.lam2
@@ -255,7 +261,7 @@ def _objective_grads(model, queries, C, lam, objective, mad, proto_pool):
         grad -= div
         return grad
 
-    grad, probs, _ = model.grad_input_full(flat, wrt="prob")
+    grad, probs, _ = net.grad_input_full(flat, wrt="prob")
     grad = grad.reshape(n, k, d)
     grad *= ((2.0 * lam) * (probs - 1.0))[:, None, None]   # gradient of the push
 
@@ -281,10 +287,10 @@ def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
                           dice_candidates=None, dice_index=None, proto_pool=None):
     """Candidate gradients at each row of `points`, shape (n, d).
 
-    One kernel call for all rows.  Each row stands in for the selected
-    candidate; for dice that is slot `dice_index` of `dice_candidates`, the
-    other candidates held fixed.  `proto_pool` defaults to
-    `_prototype_pool(model, dataset)`.
+    One kernel call for all rows, through a `FrozenNet` built for it.  Each
+    row stands in for the selected candidate; for dice that is slot
+    `dice_index` of `dice_candidates`, the other candidates held fixed.
+    `proto_pool` defaults to `_prototype_pool(model, dataset)`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -298,7 +304,7 @@ def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
         C = points[:, None, :]
     if objective.kind == "prototypes" and proto_pool is None:
         proto_pool = _prototype_pool(model, dataset)
-    grad = _objective_grads(model, queries, C, _lam_of(objective, lam), objective,
+    grad = _objective_grads(FrozenNet(model), queries, C, _lam_of(objective, lam), objective,
                             dataset.mad, proto_pool)
     return grad[:, slot]
 
@@ -375,51 +381,46 @@ def _random_starts(initializer, base, dataset):
 
 # -- descent engine -----------------------------------------------------------------
 
-def _run_attempt(model, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
-    """One escalation attempt per row: `budget.steps` Adam steps from
-    `starts`, then the sparsity snap.  Returns (candidates (n, k, d),
-    probabilities (n, k)).
+def _run_attempt(net, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
+    """One escalation attempt per row of the search's `FrozenNet`:
+    `budget.steps` Adam steps from `starts`, then the sparsity snap.
+    Returns (candidates (n, k, d), probabilities (n, k)).
 
-    Rows are independent, so a round whose steps carry at least `SPLIT_MACS`
-    multiply-adds runs as two halves when a CPU is spare (`_spare_cpu`):
-    the second half on a worker thread, since numpy releases the interpreter
-    lock inside BLAS.  The cut falls on a multiple of 4 rows.  OpenBLAS
-    computes the one-unit output layer with gemv, which gives a row's logit
-    other bits when the row lies among a batch's last `rows mod 4`; a
-    4-aligned cut leaves every row where it was in that pattern, so the
-    halves give the unsplit bits.  Whether the worker runs never moves the
-    cut.
+    Rows are independent, to the bit, so a round whose steps carry at least
+    `SPLIT_MACS` multiply-adds runs as two halves when a CPU is spare
+    (`_spare_cpu`): the second half on a worker thread, since numpy releases
+    the interpreter lock inside BLAS.
     """
     n, k, _ = starts.shape
     args = (objective, mad, mutable, budget, proto_pool)
-    cut = 4 * ((n + 7) // 8)
-    if cut >= n or n * k * _weight_count(model) < SPLIT_MACS or not _spare_cpu():
-        return _descend(model, queries, starts, lam, *args)
+    cut = n // 2
+    if cut == 0 or n * k * _weight_count(net) < SPLIT_MACS or not _spare_cpu():
+        return _descend(net, queries, starts, lam, *args)
     # imported here: the package (logging with it) adds 0.6 MB to every
     # process, and only a split round needs it
     from concurrent.futures import ThreadPoolExecutor
 
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     with ThreadPoolExecutor(max_workers=1) as worker:
-        second = worker.submit(_descend, model, queries[cut:], starts[cut:], lam[cut:], *args)
-        first = _descend(model, queries[:cut], starts[:cut], lam[:cut], *args)
+        second = worker.submit(_descend, net, queries[cut:], starts[cut:], lam[cut:], *args)
+        first = _descend(net, queries[:cut], starts[:cut], lam[:cut], *args)
         rest = second.result()
     return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
 
 
-def _descend(model, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
+def _descend(net, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
     """`_run_attempt` on one set of rows, in the calling thread."""
     n, k, d = starts.shape
     C = starts
     state = AdamState(lr=budget.lr)
     frozen = None if mutable.all() else ~mutable
     for _ in range(budget.steps):
-        grad = _objective_grads(model, queries, C, lam, objective, mad, proto_pool)
+        grad = _objective_grads(net, queries, C, lam, objective, mad, proto_pool)
         if frozen is not None:
             grad[:, :, frozen] = 0.0
         C = adam_step(state, C, grad)
-    probs = model.forward(C.reshape(n * k, d)).reshape(n, k)
-    return _snap_to_query(model, queries, C, probs, budget)
+    probs = net.forward(C.reshape(n * k, d)).reshape(n, k)
+    return _snap_to_query(net, queries, C, probs, budget)
 
 
 def _spare_cpu() -> bool:
@@ -427,8 +428,8 @@ def _spare_cpu() -> bool:
     and the environment pins BLAS to one thread.  A threaded BLAS already
     runs on the other CPUs, and beside it a split full-scale round ran about
     1.8x slower than an unsplit one.
-    With a threaded BLAS a row's bits also depend on BLAS's thread count,
-    since its gemv splits rows among its threads."""
+    With a threaded BLAS a row's bits also depend on its batch, since BLAS
+    divides a product's rows among its threads."""
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     return blas_threads == "1" and _usable_cpus() >= 2
 
@@ -441,9 +442,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _snap_to_query(model, queries, C, probs, budget):
+def _snap_to_query(net, queries, C, probs, budget):
     """Round coordinates within `budget.lr` of the query exactly onto it,
-    keeping validity.
+    keeping validity by `net`'s verdict.
 
     Candidates are chosen per slot: the snapped point when the model still
     accepts it (or when the raw point was rejected anyway), the raw point
@@ -455,7 +456,7 @@ def _snap_to_query(model, queries, C, probs, budget):
         return C, probs
     snapped = np.where(near, Q, C)
     n, k, d = C.shape
-    probs_snapped = model.forward(snapped.reshape(n * k, d)).reshape(n, k)
+    probs_snapped = net.forward(snapped.reshape(n * k, d)).reshape(n, k)
     use = (probs_snapped > 0.5) | (probs <= 0.5)
     C = np.where(use[:, :, None], snapped, C)
     probs = np.where(use, probs_snapped, probs)
@@ -507,6 +508,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     proto_pool = (_prototype_pool(model, dataset)
                   if objective.kind == "prototypes" else None)
     starts = _initial_candidates(initializer, queries, k, model, dataset, mutable, segments)
+    net = FrozenNet(model)
 
     results: list[CfResult | None] = [None] * n
 
@@ -538,7 +540,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         lams = schedule[level:level + width]
         sub = np.array(pending)
         rows = np.repeat(sub, width)
-        cands, probs = _run_attempt(model, queries[rows], starts[rows],
+        cands, probs = _run_attempt(net, queries[rows], starts[rows],
                                     np.tile(lams, len(sub)), objective, mad, mutable,
                                     budget, proto_pool)
         still = []

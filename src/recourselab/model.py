@@ -28,15 +28,38 @@ workspace runs the same lines and allocates each product.
 `set_flat` makes the vector it receives the model's parameter storage, with
 no copy, so a trainer that steps one flat vector out of place (`adam_step`)
 holds one copy of the parameters; `with_flat` copies.
+
+Row rule.  With BLAS pinned to one thread, a row's logit, probability and
+input gradient have the same bits in every batch that holds it, wherever it
+sits and however many rows the batch has.  BLAS computes a matrix-vector
+product's tail rows, a product with a transposed view, and a product with
+few columns each in other kernels, whose bits depend on where a row falls.
+So every product goes through `_row_matmul`, which takes a one-column
+product (the one-unit output layer) as a per-row dot product and a one-row
+product as two copies of the row; and the input-gradient chain
+(`_input_grad`) multiplies by contiguous copies of the transposed weights,
+the last of them, `W_0.T` with one column per feature, zero-padded to a
+multiple of 8 columns.  A `FrozenNet` holds those copies, and
+`MlpClassifier.grad_input_full` builds one per call.  Packing a 4x200 net
+costs 0.4-0.7 ms, more than half of a 45-row kernel call, so a search
+builds one per search and keeps it through every step.  No `MlpClassifier`
+keeps one: its weights may be rewritten in place, and the copies would go
+stale.  The trainers sum their rows, so they need no rule: their backward
+products, phase one's input gradients among them, multiply by transposed
+views of weights that change every step.  With a threaded BLAS no rule
+holds: BLAS divides a product's rows among its threads.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .data import DataError
 
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN = (200, 200, 200, 200)
@@ -112,10 +135,104 @@ class Workspace:
         return flat[:n * h].reshape(n, h)
 
 
-def _scratch(workspace: Workspace | None, key, n: int, h: int):
-    """The `out=` array for an (n, h) product: a workspace view, or None for
-    a fresh array."""
-    return None if workspace is None else workspace.rows(key, n, h)
+def _row_matmul(a: np.ndarray, w: np.ndarray, key=None,
+                workspace: Workspace | None = None) -> np.ndarray:
+    """`a @ w`, each row computed as the rows of a batch are (the module's
+    row rule); with a workspace, a product of more than one column goes into
+    its buffer `key`.
+
+    numpy hands a product with one column, or with one row, to BLAS's
+    matrix-vector kernel, which gives a row other bits than a batch does.
+    So one column is a per-row dot product, and one row is multiplied as
+    two copies of itself.
+    """
+    n, m = a.shape[0], w.shape[1]
+    if m == 1:
+        return np.vecdot(a, w[:, 0])[:, None]
+    out = None if workspace is None else workspace.rows(key, max(n, 2), m)
+    if n == 1:
+        return np.matmul(np.concatenate([a, a]), w, out=out)[:1]
+    return np.matmul(a, w, out=out)
+
+
+def _forward(weights, biases, X: np.ndarray, check: bool, workspace: Workspace | None):
+    """Returns (activations per layer starting at the input, final logits).
+
+    With a `workspace`, the hidden activations are views of its buffers.
+    """
+    a = np.asarray(X, dtype=float)
+    d = weights[0].shape[0]
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"expected (n, {d}) inputs, got {a.shape}")
+    acts = [a]
+    for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        a = _row_matmul(a, w, ("act", i), workspace)
+        a += b
+        np.tanh(a, out=a)
+        if check and not np.isfinite(a).all():
+            raise NumericError(i)
+        acts.append(a)
+    z = _row_matmul(a, weights[-1])[:, 0]
+    z += biases[-1]
+    if check and not np.isfinite(z).all():
+        raise NumericError(len(weights) - 1)
+    return acts, z
+
+
+def _input_grad(slopes, g: np.ndarray, back, first: np.ndarray, d: int,
+                workspace: Workspace | None = None) -> np.ndarray:
+    """Chain per-row output gradients `g` (n x 1) to the inputs through the
+    tanh slopes held in `slopes[1:]`: times `back[i - 1]`, which is `W_i.T`,
+    for each layer i from the last down to 1, then times `first`, which is
+    `W_0.T` with at least `d` columns.  The result is a fresh (n, d) array.
+    With a workspace, consecutive layers' products alternate between two of
+    its buffers."""
+    for i in range(len(back), 0, -1):
+        g = _row_matmul(g, back[i - 1], ("prod", i % 2), workspace)
+        g *= slopes[i]
+    # contiguous: the search's element-wise steps on the padded product's
+    # view ran 8% slower per desk step (two of eight columns used)
+    return np.ascontiguousarray(_row_matmul(g, first)[:, :d])
+
+
+class FrozenNet:
+    """One net's weights as they were when it was built, with the copies that
+    make each row's bits independent of its batch (the module's row rule).
+
+    It keeps the net's weight and bias arrays and contiguous copies of their
+    transposes, the first zero-padded to a multiple of 8 columns.  A write
+    into the net's arrays after it was built would reach the former but not
+    the copies, so build one when the weights are final and drop it when
+    they change.  It writes nothing, so threads may share one.
+    """
+
+    def __init__(self, net: "MlpClassifier"):
+        self.weights = list(net.weights)
+        self.biases = list(net.biases)
+        self.d = net.d
+        self._back = [np.ascontiguousarray(w.T) for w in self.weights[1:]]
+        w0 = self.weights[0]
+        self._first = np.zeros((w0.shape[1], -(-self.d // 8) * 8))
+        self._first[:, :self.d] = w0.T
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Positive-class probabilities of a 2-d batch, clipped to (0, 1)."""
+        _, z = _forward(self.weights, self.biases, X, False, None)
+        return _clip_prob(sigmoid(z))
+
+    def grad_input_full(self, X: np.ndarray, wrt: str = "prob"):
+        """`MlpClassifier.grad_input_full` of the net as it was."""
+        acts, z = _forward(self.weights, self.biases, X, False, None)
+        p = sigmoid(z)
+        if wrt == "prob":
+            g = (p * (1.0 - p))[:, None]
+        elif wrt == "logit":
+            g = np.ones((z.shape[0], 1))
+        else:
+            raise ValueError(f"unknown wrt {wrt!r}")
+        for a in acts[1:]:
+            _tanh_slope(a)
+        return _input_grad(acts, g, self._back, self._first, self.d), _clip_prob(p), z
 
 
 class MlpClassifier:
@@ -193,27 +310,7 @@ class MlpClassifier:
 
     # -- forward ------------------------------------------------------------
     def _forward(self, X: np.ndarray, check: bool = False, workspace: Workspace | None = None):
-        """Returns (activations per layer starting at the input, final logits).
-
-        With a `workspace`, the hidden activations are views of its buffers.
-        """
-        a = np.asarray(X, dtype=float)
-        if a.ndim != 2 or a.shape[1] != self.d:
-            raise ValueError(f"expected (n, {self.d}) inputs, got {a.shape}")
-        acts = [a]
-        n = a.shape[0]
-        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.matmul(a, w, out=_scratch(workspace, ("act", i), n, w.shape[1]))
-            a += b
-            np.tanh(a, out=a)
-            if check and not np.isfinite(a).all():
-                raise NumericError(i)
-            acts.append(a)
-        z = a @ self.weights[-1]
-        z += self.biases[-1]
-        if check and not np.isfinite(z).all():
-            raise NumericError(len(self.weights) - 1)
-        return acts, z[:, 0]
+        return _forward(self.weights, self.biases, X, check, workspace)
 
     @staticmethod
     def _as_batch(x):
@@ -237,34 +334,10 @@ class MlpClassifier:
         """Input gradients for a 2-d batch; also returns (probs, logits).
 
         `wrt='prob'` differentiates the sigmoid probability, `wrt='logit'`
-        the pre-sigmoid score (used by hinge objectives).
+        the pre-sigmoid score (used by hinge objectives).  Builds a
+        `FrozenNet` for the one call; a search builds its own once.
         """
-        acts, z = self._forward(X)
-        p = sigmoid(z)
-        if wrt == "prob":
-            g = (p * (1.0 - p))[:, None]
-        elif wrt == "logit":
-            g = np.ones((X.shape[0], 1))
-        else:
-            raise ValueError(f"unknown wrt {wrt!r}")
-        for a in acts[1:]:
-            _tanh_slope(a)
-        return self._input_grad_from_slopes(acts, g), _clip_prob(p), z
-
-    def _input_grad_from_slopes(self, slopes, g: np.ndarray,
-                                workspace: Workspace | None = None) -> np.ndarray:
-        """Chain per-row output gradients `g` (n x 1) to the inputs through
-        the tanh slopes held in `slopes[1:]`; the result is a fresh array."""
-        for i in range(len(self.weights) - 1, 0, -1):
-            g = self._back_product(g, i, workspace)
-            g *= slopes[i]
-        return g @ self.weights[0].T
-
-    def _back_product(self, g: np.ndarray, i: int, workspace: Workspace | None) -> np.ndarray:
-        """`g @ W_i.T`; with a workspace, into the product buffer of i's
-        parity, so consecutive layers alternate between two buffers."""
-        w_t = self.weights[i].T
-        return np.matmul(g, w_t, out=_scratch(workspace, ("prod", i % 2), g.shape[0], w_t.shape[1]))
+        return FrozenNet(self).grad_input_full(X, wrt)
 
     def grad_input(self, x, wrt: str = "prob"):
         X, single = self._as_batch(x)
@@ -288,7 +361,7 @@ class MlpClassifier:
             np.matmul(acts[i].T, g, out=gw)
             np.sum(g, axis=0, out=gb)
             if i > 0:
-                g = self._back_product(g, i, workspace)
+                g = _row_matmul(g, self.weights[i].T, ("prod", i % 2), workspace)
                 g *= _tanh_slope(acts[i])
         return grad
 
@@ -339,7 +412,11 @@ class MlpClassifier:
         non-finite activations.
         """
         grad, slopes, p = self._squared_push_pass(X, None, workspace)
-        g_in = self._input_grad_from_slopes(slopes, (p * (1.0 - p))[:, None], workspace)
+        # transposed views (the module's row rule): copies of weights that
+        # change every step cost a 4x200 net 6% of its phase-one step
+        back = [w.T for w in self.weights[1:]]
+        g_in = _input_grad(slopes, (p * (1.0 - p))[:, None], back, self.weights[0].T, self.d,
+                           workspace)
         probs = _clip_prob(p)
         return _squared_push(probs), grad, 2.0 * (probs - 1.0)[:, None] * g_in
 
@@ -466,13 +543,19 @@ def save_model(model: MlpClassifier, path) -> None:
 
 
 def load_model(path) -> MlpClassifier:
+    """The model `save_model` wrote: FileNotFoundError when there is no file,
+    a DataError naming it when it holds no such checkpoint."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
-    with np.load(path) as blob:
-        version = int(blob["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        net = MlpClassifier(blob["layer_dims"].tolist(), seed=int(blob["seed"]))
-        net.set_flat(blob["params"].astype(float))
+    try:
+        with np.load(path) as blob:
+            version = int(blob["format_version"])
+            if version == CHECKPOINT_VERSION:
+                net = MlpClassifier(blob["layer_dims"].tolist(), seed=int(blob["seed"]))
+                net.set_flat(blob["params"].astype(float))
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        raise DataError(f"{path} is not a model checkpoint") from None
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     return net

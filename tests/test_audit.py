@@ -258,9 +258,9 @@ def assert_matches_three_searches(details, runs, model, dataset):
                     got.final_lam, got.optimizer) == (
                 want.found, want.valid, want.iterations, want.lam_attempts,
                 want.final_lam, want.optimizer)
-            assert_close(got.cost, want.cost)
+            assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
             if want.found:
-                np.testing.assert_allclose(got.x_cf, want.x_cf, rtol=1e-9, atol=1e-12)
+                assert got.x_cf.tobytes() == want.x_cf.tobytes()
     report = details.report
     costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
     positives = true_positive_points(model, dataset)

@@ -250,6 +250,18 @@ def test_checkpoint_of_other_width_one_error_line(tmp_path, capsys, command):
     assert captured.out == "" and not (out / "report.json").exists()
 
 
+def test_corrupt_checkpoint_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, tiny_config(explain_index=0))
+    model_path = tmp_path / "corrupt.npz"
+    model_path.write_text("feature,delta\n0,0.5\n")
+    out = tmp_path / "out"
+    code = main(["explain", "--config", cfg, "--model", str(model_path), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model_path} is not a model checkpoint\n"
+    assert captured.out == ""
+
+
 class TestExplainCommand:
     def test_json_to_stdout(self, tmp_path, capsys):
         blob = tiny_config()
@@ -378,6 +390,34 @@ class TestSweepCommand:
         want = (f"model expects {d + 1} features, dataset has {d}" if part == "model"
                 else f"delta has {d + 1} values, dataset has {d} features")
         assert captured.err == f"error: sweep.artifact: {want}\n"
+        assert captured.out == "" and not (out / "cells").exists()
+
+    @pytest.mark.parametrize("corrupt", ["not-json", "unknown-step-key"])
+    def test_corrupt_artifact_one_error_line(self, tmp_path, capsys, corrupt):
+        cfg = write_config(tmp_path, tiny_config())
+        d = cli.build_dataset(load_config(cfg)).d
+        art_dir = tmp_path / "art"
+        step = adversary.Phase2Step(disparity=0.1, np_delta_cost=1.0, np_clean_cost=1.0,
+                                    pr_clean_cost=1.1, bce=0.5, objective=1.0,
+                                    constraint_ok=True, not_found=0)
+        art = adversary.AdversarialArtifact(
+            model=model_mod.MlpClassifier([d, 4, 1], seed=0), delta=np.zeros(d),
+            phase1_loss_trace=np.empty(0), phase1_delta_l1_trace=np.empty(0),
+            phase2_steps=[step], constraint_satisfied=True, explainer_kind="wachter")
+        adversary.save_artifact(art, art_dir)
+        telemetry = art_dir / "telemetry.json"
+        if corrupt == "not-json":
+            telemetry.write_text(telemetry.read_text()[:-10])
+        else:
+            blob = json.loads(telemetry.read_text())
+            blob["phase2"]["steps"][0]["hypergrad_bogus"] = 1
+            telemetry.write_text(json.dumps(blob))
+        blob = tiny_config(sweep={"axis": "initializer", "values": ["origin", "origin"],
+                                  "artifact": str(art_dir)})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, blob), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {telemetry} is not an attack's telemetry\n"
         assert captured.out == "" and not (out / "cells").exists()
 
     def test_deterministic_sweep_csv(self, tmp_path):

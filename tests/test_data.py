@@ -168,6 +168,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, CsvSchema(label="y", protected_column="a"))
 
+    # a non-finite cell would make its column's centre and scale non-finite
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = _write(tmp_path, "inf.csv", f"a,b,y\n1,5,0\n2,{cell},1\n3,7,0\n4,8,1\n")
+        with pytest.raises(DataError, match=f"^line 3: cannot parse b='{cell}' as a number$"):
+            load_csv(path, CsvSchema(label="y", protected_column="a"))
+
     def test_non_binary_label_rejected(self, tmp_path):
         path = _write(tmp_path, "lab.csv", "a,y\n1,0\n2,2\n3,0\n4,1\n5,0\n")
         with pytest.raises(SchemaError, match="not binary"):

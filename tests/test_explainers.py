@@ -13,6 +13,7 @@ import pytest
 
 import recourselab as rl
 from recourselab import explainers
+from recourselab.model import FrozenNet
 from recourselab.explainers import (
     INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, CfResult,
     ExplainError, Initializer, SearchBudget,
@@ -176,9 +177,12 @@ class TestNearestPositive:
             mirror = near.copy()
             mirror[0] = -mirror[0]
             pool = np.vstack([pool, twin, mirror])
+            pool_t = np.ascontiguousarray(pool.T)
             pool_sq = (pool ** 2).sum(axis=1)
-            textbook = (points ** 2).sum(axis=1)[:, None] - 2.0 * points @ pool.T + pool_sq
-            got = explainers._nearest_prototypes(points, (pool, pool_sq))
+            # each row's product as a batch of two or more rows computes it
+            prod = (np.vstack([points, points]) @ pool_t)[:n]
+            textbook = (points ** 2).sum(axis=1)[:, None] - 2.0 * prod + pool_sq
+            got = explainers._nearest_prototypes(points, (pool, pool_t, pool_sq))
             assert np.array_equal(got, pool[np.argmin(textbook, axis=1)])
 
 
@@ -391,18 +395,15 @@ class TestObjectiveKernel:
 
 
 def _assert_same_results(got, want):
-    """Every `CfResult` field equal: exactly, or up to rounding from the
-    changed batch for the floating-point ones."""
+    """Every `CfResult` field equal, the arrays and the cost to the byte."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         for f in dataclasses.fields(CfResult):
             x, y = getattr(a, f.name), getattr(b, f.name)
-            if f.name in ("x_cf", "candidates"):
+            if f.name in ("x_cf", "candidates", "cost"):
                 assert (x is None) == (y is None), f.name
                 if x is not None:
-                    np.testing.assert_allclose(x, y, rtol=1e-9, atol=1e-12)
-            elif f.name == "cost":
-                assert x == pytest.approx(y, rel=1e-9, abs=1e-12, nan_ok=True)
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
             else:
                 assert x == y, f.name
 
@@ -432,7 +433,7 @@ def _sequential(monkeypatch, search, *args, **kwargs):
 
 class TestSpeculativeEscalation:
     """Running the next λ levels as extra rows gives each query the outcome of
-    the sequential schedule, up to rounding from the changed batch."""
+    the sequential schedule, to the byte."""
 
     BUDGET = SearchBudget(steps=60)
 
@@ -500,8 +501,8 @@ class TestSpeculativeEscalation:
         for r in range(len(lams)):
             one, one_probs = explainers._run_attempt(
                 net, queries[r:r + 1], queries[r:r + 1, None, :], lams[r:r + 1], *args)
-            np.testing.assert_allclose(cands[r], one[0], rtol=1e-12)
-            np.testing.assert_allclose(probs[r], one_probs[0], rtol=1e-12)
+            assert cands[r].tobytes() == one[0].tobytes()
+            assert probs[r].tobytes() == one_probs[0].tobytes()
         raw = np.random.default_rng(5).normal(size=(40, 1))
         ds = rl.data._finalize(raw, (raw[:, 0] > 0).astype(int), raw[:, 0] > 0, ("x",), seed=0)
         res = find_counterfactual(net, queries[0], CfObjective("wachter"), ds, budget=budget)
@@ -576,8 +577,8 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
 FULL_SCALE_LAYERS = [99, 200, 200, 200, 200, 1]
 PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# (objective, query rows, feature mask, starts): row counts across 40-200
-# with every residue mod 4; one dice case runs k = 4 candidates a row
+# (objective, query rows, feature mask, starts): odd and even row counts
+# across 40-200; one dice case runs k = 4 candidates a row
 SPLIT_CASES = [("wachter", 40, False, "origin"), ("wachter", 61, True, "gaussian-jitter"),
                ("sparse-wachter", 94, False, "gaussian-jitter"),
                ("prototypes", 107, True, "origin"), ("prototypes", 152, False, "gaussian-jitter"),
@@ -614,20 +615,70 @@ def _round_on(cpus: int, args) -> tuple:
         return _attempt_halves(m, *args)
 
 
+def _pinned(function: str):
+    """`function()` of this module, run in a fresh interpreter with BLAS
+    pinned to one thread, since BLAS reads its thread count once, at load:
+    a threaded BLAS splits rows among its own threads, so its bits depend on
+    how many rows a call carries.  Returns its JSON result."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here), str(here.parent / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    code = f"import json, test_explainers as t; print(json.dumps(t.{function}()))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def row_cut_mismatches() -> list:
+    """Every place a batch of about 100 rows can be cut, on a desk-shaped and
+    a 4x200 net, where the two halves' outputs differ in any byte from the
+    whole batch's: `grad_input_full` for both `wrt` values,
+    `_objective_grads` for each objective (dice with k = 4 candidates a
+    row), and `_nearest_prototypes`.  Run with BLAS pinned (`_pinned`)."""
+    bad = []
+    for layers, n in (([2, 32, 32, 1], 101), (FULL_SCALE_LAYERS, 98)):
+        net = FrozenNet(rl.MlpClassifier(layers, seed=3))
+        d = net.d
+        rng = np.random.default_rng(6)
+        X = 2.0 * rng.normal(size=(n, d))
+        mad = rng.uniform(0.5, 2.0, d)
+        pool = rng.normal(size=(37, d))
+        proto_pool = (pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1))
+        lam = 2.0 ** rng.integers(0, 12, n)
+        calls = {f"grad_input_full {wrt}": (lambda s, wrt=wrt: net.grad_input_full(X[s], wrt))
+                 for wrt in ("prob", "logit")}
+        calls["_nearest_prototypes"] = lambda s: (
+            explainers._nearest_prototypes(X[s], proto_pool),)
+        for kind in OBJECTIVE_KINDS:
+            k = 4 if kind == "dice" else 1
+            C = X[:, None, :] + rng.normal(size=(n, k, d))
+            calls[kind] = lambda s, C=C, obj=CfObjective(kind, k=k): (_objective_grads(
+                net, X[s], C[s], lam[s], obj, mad, proto_pool),)
+        for what, call in calls.items():
+            whole = call(slice(None))
+            for cut in range(1, n):
+                halves = zip(call(slice(None, cut)), call(slice(cut, None)))
+                if any(np.concatenate(h).tobytes() != w.tobytes()
+                       for h, w in zip(halves, whole)):
+                    bad.append([layers, what, cut])
+    return bad
+
+
+def test_each_row_independent_of_its_batch():
+    assert _pinned("row_cut_mismatches") == []
+
+
 def split_round_mismatches() -> list:
     """The `SPLIT_CASES` whose round on a 4x200 net gives other bytes split
-    over two threads than whole, or did not run as asked.
-
-    Run with BLAS pinned to one thread (`test_split_round_keeps_the_bits`):
-    a threaded BLAS splits rows among its own threads, so its bits depend on
-    how many rows a call carries.
-    """
-    net = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
+    over two threads than whole, or did not run as asked.  Run with BLAS
+    pinned (`_pinned`)."""
+    net = FrozenNet(rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0))
     d = net.d
     rng = np.random.default_rng(4)
     mad = rng.uniform(0.5, 2.0, d)
     pool = rng.normal(size=(40, d))
-    proto_pool = (pool, (pool ** 2).sum(axis=1))
+    proto_pool = (pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1))
     budget = SearchBudget(steps=3)
     bad = []
     for kind, n, masked, init in SPLIT_CASES:
@@ -652,17 +703,7 @@ class TestSplitRounds:
     thread, with the bits of the whole round."""
 
     def test_split_round_keeps_the_bits(self):
-        # in a fresh interpreter: BLAS reads its thread count once, at load
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(p for p in (str(here), str(here.parent / "src"),
-                                           os.environ.get("PYTHONPATH")) if p)
-        code = ("import json, test_explainers as t; "
-                "print(json.dumps(t.split_round_mismatches()))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path},
-                             timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout.splitlines()[-1]) == []
+        assert _pinned("split_round_mismatches") == []
 
     @pytest.mark.parametrize("layers, rows, k, splits", [
         (FULL_SCALE_LAYERS, 96, 1, True),      # a full-scale round

@@ -218,14 +218,17 @@ class TestOptimizers:
 
 class TestInPlaceKernelsBitIdentical:
     """The in-place network and optimizer kernels against the textbook
-    out-of-place formulas: equal to the bit, and their arguments untouched."""
+    out-of-place formulas, written in the row rule's forms where the model
+    keeps it (the output layer a per-row dot product; `grad_input_full`'s
+    chain through contiguous transposes, the last one zero-padded to 8
+    columns): equal to the bit, and their arguments untouched."""
 
     def _textbook_forward(self, net, X):
         acts, a = [X], X
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
             a = np.tanh(a @ w + b)
             acts.append(a)
-        z = (a @ net.weights[-1] + net.biases[-1])[:, 0]
+        z = np.vecdot(a, net.weights[-1][:, 0]) + net.biases[-1]
         return acts, z
 
     def test_forward_and_input_gradient(self):
@@ -240,10 +243,7 @@ class TestInPlaceKernelsBitIdentical:
             assert np.array_equal(net.forward(X), clipped)
             assert np.array_equal(net.logits(X), z)
             for wrt, g0 in (("prob", (p * (1.0 - p))[:, None]), ("logit", np.ones((40, 1)))):
-                g = g0
-                for i in range(len(net.weights) - 1, 0, -1):
-                    g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
-                g = g @ net.weights[0].T
+                g = self._textbook_grad_input(net, acts, g0)
                 got_g, got_p, got_z = net.grad_input_full(X, wrt=wrt)
                 assert np.array_equal(got_g, g)
                 assert np.array_equal(got_p, clipped)
@@ -258,10 +258,18 @@ class TestInPlaceKernelsBitIdentical:
                 g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
         return np.concatenate([part.ravel() for pair in grads for part in pair])
 
-    def _textbook_grad_input(self, net, acts, g):
+    def _textbook_grad_input(self, net, acts, g, row_rule=True):
+        """In the row rule's forms (`grad_input_full`), or through transposed
+        views (phase one's push, whose rows are summed)."""
         for i in range(len(net.weights) - 1, 0, -1):
-            g = (g @ net.weights[i].T) * (1.0 - acts[i] ** 2)
-        return g @ net.weights[0].T
+            w_t = net.weights[i].T
+            g = (g @ (np.ascontiguousarray(w_t) if row_rule else w_t)) * (1.0 - acts[i] ** 2)
+        if not row_rule:
+            return g @ net.weights[0].T
+        d = net.d
+        padded = np.zeros((net.weights[0].shape[1], -(-d // 8) * 8))
+        padded[:, :d] = net.weights[0].T
+        return (g @ padded)[:, :d]
 
     # gain 40 saturates the output, so the probability clips come into play
     @pytest.mark.parametrize("gain", [1.0, 40.0])
@@ -296,7 +304,7 @@ class TestInPlaceKernelsBitIdentical:
                               self._textbook_grad_params(net, acts, push_dz * weights))
         push = float(np.mean((clipped - 1.0) ** 2))
         rows = 2.0 * (clipped - 1.0)[:, None] * self._textbook_grad_input(
-            net, acts, (p * (1.0 - p))[:, None])
+            net, acts, (p * (1.0 - p))[:, None], row_rule=False)
         assert net.squared_push_loss(X) == push
         got_push, got_push_grad, got_rows = net.squared_push_loss_and_grads(X)
         assert got_push == push
@@ -326,7 +334,7 @@ class TestInPlaceKernelsBitIdentical:
             bce = float(-np.mean(y * np.log(pb) + (1.0 - y) * np.log(1.0 - pb)))
             push_dz = 2.0 * (p - 1.0) * p * (1.0 - p)
             rows = 2.0 * (clipped - 1.0)[:, None] * self._textbook_grad_input(
-                net, acts, (p * (1.0 - p))[:, None])
+                net, acts, (p * (1.0 - p))[:, None], row_rule=False)
 
             got_bce, got_bce_grad = net.bce_loss_and_grad(X, y, workspace)
             assert got_bce == bce
