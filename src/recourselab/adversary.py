@@ -11,7 +11,9 @@ central finite differences so only black-box access to the search is needed.
 Phase two only needs the cost gradient chained through that product, so it
 solves one Hessian system per point and takes the mixed partials as a single
 weighted parameter backprop per batch (`batch_hypergradient`);
-`implicit_jacobian` builds the dense matrix for inspection and tests.
+`implicit_jacobian` builds the dense matrix for inspection and tests.  Both
+read the objective through one `explainers._Objective` per call: one
+`FrozenNet` per hypergradient batch, and no branch on the objective's kind.
 
 One rule picks the solve for each point (`_choose_mode`): the full inverse
 when at most FULL_INVERSE_MAX_DIM coordinates moved and its reciprocal
@@ -94,9 +96,10 @@ class _ImplicitSystem:
         return rhs / (diag if rhs.ndim == 1 else diag[:, None])
 
 
-def _implicit_system(model, x, objective, x_cf, dataset, *, lam, dice_candidates=None,
-                     dice_index=None, proto_pool=None) -> _ImplicitSystem:
-    """Pinned/free split, stationarity, Hessian and mode of one counterfactual.
+def _implicit_system(loss, x, x_cf, lam, candidates=None,
+                     candidate_index=None) -> _ImplicitSystem:
+    """Pinned/free split, stationarity, Hessian and mode of one counterfactual
+    of `loss` (an `explainers._Objective`) at validity weight `lam`.
 
     All four objectives carry an l1-at-query term, so their optima are
     sparse.  A coordinate within one finite-difference step of the query sits
@@ -108,18 +111,11 @@ def _implicit_system(model, x, objective, x_cf, dataset, *, lam, dice_candidates
     """
     x = np.asarray(x, dtype=float)
     x_cf = np.asarray(x_cf, dtype=float)
-    d = dataset.d
-    if objective.feature_mask is None:
-        mutable = np.ones(d, dtype=bool)
-    else:
-        mutable = np.asarray(objective.feature_mask, dtype=bool)
-    free = np.flatnonzero(mutable & (np.abs(x_cf - x) > HESSIAN_FD_STEP))
+    free = np.flatnonzero(loss.mutable & (np.abs(x_cf - x) > HESSIAN_FD_STEP))
     dm = free.size
-    bumps = HESSIAN_FD_STEP * np.eye(d)[free]
+    bumps = HESSIAN_FD_STEP * np.eye(loss.mutable.size)[free]
     rows = np.concatenate([x_cf + bumps, x_cf - bumps])
-    grads = explainers.objective_grad_x_rows(
-        model, x, np.vstack([x_cf, rows]), objective, dataset, lam=lam,
-        dice_candidates=dice_candidates, dice_index=dice_index, proto_pool=proto_pool)
+    grads = loss.grad_x_rows(x, np.vstack([x_cf, rows]), lam, candidates, candidate_index)
     stationarity = float(np.max(np.abs(grads[0, free]))) if dm else 0.0
     hessian = (grads[1:dm + 1][:, free] - grads[dm + 1:][:, free]) / (2.0 * HESSIAN_FD_STEP)
     hessian = 0.5 * (hessian + hessian.T)
@@ -167,16 +163,18 @@ def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
     solved on the moved coordinates, where classical stationarity applies.
     A counterfactual whose moved coordinates are not stationary within
     STATIONARITY_TOL (inf-norm) yields an estimate flagged `approximate`.
-    Raises HessianConditionError when the solve rule refuses the Hessian.
+    Raises HessianConditionError when the solve rule refuses the Hessian,
+    and ExplainError when the objective's mask does not fit the dataset.
     """
-    system = _implicit_system(model, x, objective, x_cf, dataset, lam=lam,
-                              dice_candidates=dice_candidates, dice_index=dice_index)
+    loss = explainers._Objective.of(model, objective, dataset)
+    lam = loss.validity_weight(lam)
+    system = _implicit_system(loss, x, x_cf, lam, dice_candidates, dice_index)
     dm = system.free.size
+    scale = loss.validity_scale(lam)
     mixed = np.zeros((dm, model.param_count))
     for i in range(dm):
-        gt_hi = explainers.objective_grad_params(model, x, system.rows[i], objective, lam=lam)
-        gt_lo = explainers.objective_grad_params(model, x, system.rows[dm + i], objective,
-                                                 lam=lam)
+        gt_hi = scale * loss.validity_grad_params(system.rows[i][None, :])
+        gt_lo = scale * loss.validity_grad_params(system.rows[dm + i][None, :])
         mixed[i] = (gt_hi - gt_lo) / (2.0 * HESSIAN_FD_STEP)
     matrix = np.zeros((dataset.d, model.param_count))
     matrix[system.free] = -system.solve(mixed)
@@ -214,16 +212,14 @@ def batch_hypergradient(model: MlpClassifier, origins, queries, results,
     n_found = sum(1 for r in results if r.found)
     pending = [(origin, query, r) for origin, query, r in zip(origins, queries, results)
                if r.found and not r.query_was_valid]
-    proto_pool = None
-    if objective.kind == "prototypes" and pending:
-        proto_pool = explainers._prototype_pool(model, dataset)
+    if not pending:
+        return np.zeros(model.param_count), counts
+    loss = explainers._Objective.of(model, objective, dataset)
     rows, weights = [np.empty((0, dataset.d))], [np.empty(0)]
     for origin, query, r in pending:
-        dice = ({"dice_candidates": r.candidates, "dice_index": r.candidate_index}
-                if objective.kind == "dice" else {})
         try:
-            system = _implicit_system(model, query, objective, r.x_cf, dataset,
-                                      lam=r.final_lam, proto_pool=proto_pool, **dice)
+            system = _implicit_system(loss, query, r.x_cf, r.final_lam, r.candidates,
+                                      r.candidate_index)
         except HessianConditionError:
             counts.skipped += 1
             continue
@@ -234,17 +230,13 @@ def batch_hypergradient(model: MlpClassifier, origins, queries, results,
         counts.approximate += int(system.approximate)
         v = np.sign(r.x_cf - np.asarray(origin, dtype=float)) / dataset.mad
         w = system.solve(v[system.free]) / (2.0 * HESSIAN_FD_STEP)
-        if objective.kind != "dice":
-            w = r.final_lam * w    # the squared push enters scaled by its weight
+        w = loss.validity_scale(r.final_lam) * w
         rows.append(system.rows)
         weights.append(np.concatenate([-w, w]))
     X = np.concatenate(rows)
     if X.shape[0] == 0:
         return np.zeros(model.param_count), counts
-    wts = np.concatenate(weights) / n_found
-    if objective.kind == "dice":
-        return model.grad_params_hinge_logit(X, weights=wts), counts
-    return model.grad_params_squared_push(X, weights=wts), counts
+    return loss.validity_grad_params(X, weights=np.concatenate(weights) / n_found), counts
 
 
 @dataclass
@@ -647,10 +639,14 @@ def write_delta_csv(delta: np.ndarray, path) -> None:
 
 def read_delta_csv(path) -> np.ndarray:
     """The perturbation `write_delta_csv` wrote; a DataError starting
-    "delta:" when a row after the header is not `feature,value`."""
+    "delta:" when a row after the header is not `feature,value` or its value
+    is not finite."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     try:
-        return np.array([float(row[1]) for row in rows])
+        delta = np.array([float(row[1]) for row in rows])
     except (IndexError, ValueError):
         raise DataError(f"delta: {path} has a row that is not 'feature,value'") from None
+    if not np.isfinite(delta).all():
+        raise DataError(f"delta: {path} has a value that is not finite")
+    return delta

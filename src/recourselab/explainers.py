@@ -7,16 +7,18 @@ escalates geometrically whenever an attempt ends invalid.  Spare batch rows
 run a query's next escalation levels speculatively; each query keeps the
 first level that succeeds.  How many rows a round aims for follows from what
 a row costs, read from the model's layer sizes (see `_row_target`).  The
-engine reads the model through one `model.FrozenNet` per search, so each
-row's bits are independent of its batch: a round big enough to keep two
-CPUs busy runs its rows as two halves on two threads, with the bits of the
-whole round (see `_run_attempt`).  One batch can carry several searches as
-segments of rows, each with its own cost reference per row and its own
-initializer draws: an audit and a phase-2 evaluation search their three
-conditions (protected, non-protected, non-protected + δ) in one call.  A
-segment whose queries and references repeat an earlier segment's bytes is
-searched once: with δ = 0 the third condition gets copies of the second's
-results.
+engine reads an objective through one `_Objective` per search, which holds
+the model's `model.FrozenNet`, so each row's bits are independent of its
+batch: a round big enough to keep two CPUs busy runs its rows as two halves
+on two threads, with the bits of the whole round (see `_run_attempt`).  The
+adversary's implicit step reads the objective through the same object, one
+per hypergradient batch, and never branches on its kind.  One batch can
+carry several searches as segments of rows, each with its own cost
+reference per row and its own initializer draws: an audit and a phase-2
+evaluation search their three conditions (protected, non-protected,
+non-protected + δ) in one call.  A segment whose queries and references
+repeat an earlier segment's bytes is searched once: with δ = 0 the third
+condition gets copies of the second's results.
 """
 
 from __future__ import annotations
@@ -223,109 +225,121 @@ def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
     return pool[np.argmin(sq, axis=1)]
 
 
-# -- objective gradient kernels ---------------------------------------------------
+# -- the objective on a net ---------------------------------------------------------
 
-def _objective_grads(net, queries, C, lam, objective, mad, proto_pool):
-    """Gradient of the search objective for a batch of candidates.
+@dataclass(frozen=True)
+class _Objective:
+    """One objective on one net, as the search and the implicit step read it:
+    the model's `FrozenNet`, the live model (for parameter gradients), the
+    MAD, the checked feature mask and, for prototypes, `_prototype_pool`'s
+    triple.  Built once per `_search_many` call (both threads of a split
+    round share it) and once per hypergradient batch or dense Jacobian."""
 
-    `net` is the search's `FrozenNet`.  `C` has shape (n, k, d) with k=1 for
-    the single-candidate objectives.  `lam` is the validity weight (dice:
-    `lam1`), a scalar or one per query; each row's arithmetic is the same
-    either way.  `proto_pool` is `_prototype_pool`'s triple (prototypes
-    only).  Returns a gradient like `C`.
-    The l1 pieces use the sign subgradient (0 at kinks).
-    """
-    n, k, d = C.shape
-    flat = C.reshape(n * k, d)
-    D = C - queries[:, None, :]
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n,):
-        lam = np.broadcast_to(lam, (n,))
+    spec: CfObjective
+    model: object
+    net: FrozenNet
+    mad: np.ndarray
+    mutable: np.ndarray
+    pool: tuple | None = None
 
-    if objective.kind == "dice":
-        glog, _, logits = net.grad_input_full(flat, wrt="logit")
-        grad = glog.reshape(n, k, d)
-        logits = logits.reshape(n, k)
-        lam1, lam2 = lam, objective.lam2
-        pair = C[:, :, None, :] - C[:, None, :, :]
-        # -active * glog + (lam1 / k) * sign(D) / mad - (lam2 / k^2) * sum_b pair_sign
-        grad *= -(logits < 1.0).astype(float)[:, :, None]
-        prox = np.sign(D)
-        prox *= (lam1 / k)[:, None, None]
-        prox /= mad
-        grad += prox
-        pair_sign = np.sign(pair, out=pair)
-        pair_sign /= mad
-        div = pair_sign.sum(axis=2)
-        div *= lam2 / k ** 2
-        grad -= div
+    @classmethod
+    def of(cls, model, spec: CfObjective, dataset) -> "_Objective":
+        """`spec` on `model`; ExplainError when its mask has the wrong length."""
+        mask = np.ones(dataset.d) if spec.feature_mask is None else spec.feature_mask
+        mutable = np.asarray(mask, dtype=bool)
+        if mutable.shape != (dataset.d,):
+            raise ExplainError("feature mask length does not match feature count")
+        pool = _prototype_pool(model, dataset) if spec.kind == "prototypes" else None
+        return cls(spec, model, FrozenNet(model), dataset.mad, mutable, pool)
+
+    def grads(self, queries, C, lam):
+        """Gradient of the search objective for a batch of candidates.
+
+        `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
+        `lam` is the validity weight (dice: `lam1`), a scalar or one per
+        query; each row's arithmetic is the same either way.  Returns a
+        gradient like `C`.  The l1 pieces use the sign subgradient (0 at kinks).
+        """
+        n, k, d = C.shape
+        flat = C.reshape(n * k, d)
+        D = C - queries[:, None, :]
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (n,):
+            lam = np.broadcast_to(lam, (n,))
+        kind, mad = self.spec.kind, self.mad
+
+        if kind == "dice":
+            glog, _, logits = self.net.grad_input_full(flat, wrt="logit")
+            grad = glog.reshape(n, k, d)
+            logits = logits.reshape(n, k)
+            lam1, lam2 = lam, self.spec.lam2
+            pair = C[:, :, None, :] - C[:, None, :, :]
+            # -active * glog + (lam1 / k) * sign(D) / mad - (lam2 / k^2) * sum_b pair_sign
+            grad *= -(logits < 1.0).astype(float)[:, :, None]
+            prox = np.sign(D)
+            prox *= (lam1 / k)[:, None, None]
+            prox /= mad
+            grad += prox
+            pair_sign = np.sign(pair, out=pair)
+            pair_sign /= mad
+            div = pair_sign.sum(axis=2)
+            div *= lam2 / k ** 2
+            grad -= div
+            return grad
+
+        grad, probs, _ = self.net.grad_input_full(flat, wrt="prob")
+        grad = grad.reshape(n, k, d)
+        grad *= ((2.0 * lam) * (probs - 1.0))[:, None, None]   # gradient of the push
+
+        if kind == "wachter":
+            gdist = np.sign(D)
+            gdist /= mad
+        elif kind == "sparse-wachter":
+            gdist = np.sign(D)
+            gdist += 2.0 * D
+        elif kind == "prototypes":
+            PD = C - _nearest_prototypes(flat, self.pool).reshape(n, k, d)
+            gdist = np.sign(D)
+            gdist *= self.spec.beta
+            gdist += 2.0 * D
+            gdist += 2.0 * PD
+        else:  # pragma: no cover
+            raise ValueError(kind)
+        grad += gdist
         return grad
 
-    grad, probs, _ = net.grad_input_full(flat, wrt="prob")
-    grad = grad.reshape(n, k, d)
-    grad *= ((2.0 * lam) * (probs - 1.0))[:, None, None]   # gradient of the push
+    def grad_x_rows(self, query, points, lam, candidates=None, candidate_index=None):
+        """Candidate gradients at each row of `points`, shape (n, d), in one
+        kernel call.  Each row stands in for the selected candidate (dice:
+        slot `candidate_index` of `candidates`, the others held fixed)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = points.shape[0]
+        queries = np.repeat(np.asarray(query, dtype=float)[None, :], n, axis=0)
+        slot = 0
+        if self.spec.kind == "dice" and candidates is not None:
+            C = np.repeat(np.asarray(candidates, dtype=float)[None, :, :], n, axis=0)
+            slot = int(candidate_index or 0)
+            C[:, slot] = points
+        else:
+            C = points[:, None, :]
+        return self.grads(queries, C, lam)[:, slot]
 
-    if objective.kind == "wachter":
-        gdist = np.sign(D)
-        gdist /= mad
-    elif objective.kind == "sparse-wachter":
-        gdist = np.sign(D)
-        gdist += 2.0 * D
-    elif objective.kind == "prototypes":
-        PD = C - _nearest_prototypes(flat, proto_pool).reshape(n, k, d)
-        gdist = np.sign(D)
-        gdist *= objective.beta
-        gdist += 2.0 * D
-        gdist += 2.0 * PD
-    else:  # pragma: no cover
-        raise ValueError(objective.kind)
-    grad += gdist
-    return grad
+    def validity_weight(self, lam=None) -> float:
+        """`lam`, or by default the escalation schedule's first level."""
+        return _lam_schedule(self.spec)[0] if lam is None else float(lam)
 
+    def validity_scale(self, lam: float) -> float:
+        """The factor on the validity term's parameter gradient at weight
+        `lam`: the squared push is scaled by it, dice's hinge is not."""
+        return 1.0 if self.spec.kind == "dice" else lam
 
-def objective_grad_x_rows(model, query, points, objective, dataset, lam=None,
-                          dice_candidates=None, dice_index=None, proto_pool=None):
-    """Candidate gradients at each row of `points`, shape (n, d).
-
-    One kernel call for all rows, through a `FrozenNet` built for it.  Each
-    row stands in for the selected candidate; for dice that is slot
-    `dice_index` of `dice_candidates`, the other candidates held fixed.
-    `proto_pool` defaults to `_prototype_pool(model, dataset)`.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    queries = np.repeat(np.asarray(query, dtype=float)[None, :], n, axis=0)
-    slot = 0
-    if objective.kind == "dice" and dice_candidates is not None:
-        C = np.repeat(np.asarray(dice_candidates, dtype=float)[None, :, :], n, axis=0)
-        slot = int(dice_index or 0)
-        C[:, slot] = points
-    else:
-        C = points[:, None, :]
-    if objective.kind == "prototypes" and proto_pool is None:
-        proto_pool = _prototype_pool(model, dataset)
-    grad = _objective_grads(FrozenNet(model), queries, C, _lam_of(objective, lam), objective,
-                            dataset.mad, proto_pool)
-    return grad[:, slot]
-
-
-def objective_grad_params(model, query, candidate, objective, lam=None) -> np.ndarray:
-    """Gradient of the objective with respect to the model parameters.
-
-    Only the validity term depends on the parameters: the squared push for
-    the three distance objectives, the logit hinge for dice; prototype points
-    are held fixed.
-    """
-    c = np.asarray(candidate, dtype=float)[None, :]
-    if objective.kind == "dice":
-        return model.grad_params_hinge_logit(c)
-    return _lam_of(objective, lam) * model.grad_params_squared_push(c)
-
-
-def _lam_of(objective, lam):
-    if lam is not None:
-        return float(lam)
-    return objective.lam1 if objective.kind == "dice" else objective.lam
+    def validity_grad_params(self, X, weights=None) -> np.ndarray:
+        """Mean (or `weights`-weighted sum) over the rows `X` of the parameter
+        gradient of the validity term, the only term that depends on the
+        parameters: the squared push, or dice's logit hinge."""
+        if self.spec.kind == "dice":
+            return self.model.grad_params_hinge_logit(X, weights=weights)
+        return self.model.grad_params_squared_push(X, weights=weights)
 
 
 # -- candidate initialization -----------------------------------------------------
@@ -381,8 +395,8 @@ def _random_starts(initializer, base, dataset):
 
 # -- descent engine -----------------------------------------------------------------
 
-def _run_attempt(net, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
-    """One escalation attempt per row of the search's `FrozenNet`:
+def _run_attempt(loss, queries, starts, lam, budget):
+    """One escalation attempt per row on the search's `_Objective`:
     `budget.steps` Adam steps from `starts`, then the sparsity snap.
     Returns (candidates (n, k, d), probabilities (n, k)).
 
@@ -392,35 +406,34 @@ def _run_attempt(net, queries, starts, lam, objective, mad, mutable, budget, pro
     the interpreter lock inside BLAS.
     """
     n, k, _ = starts.shape
-    args = (objective, mad, mutable, budget, proto_pool)
     cut = n // 2
-    if cut == 0 or n * k * _weight_count(net) < SPLIT_MACS or not _spare_cpu():
-        return _descend(net, queries, starts, lam, *args)
+    if cut == 0 or n * k * _weight_count(loss.net) < SPLIT_MACS or not _spare_cpu():
+        return _descend(loss, queries, starts, lam, budget)
     # imported here: the package (logging with it) adds 0.6 MB to every
     # process, and only a split round needs it
     from concurrent.futures import ThreadPoolExecutor
 
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     with ThreadPoolExecutor(max_workers=1) as worker:
-        second = worker.submit(_descend, net, queries[cut:], starts[cut:], lam[cut:], *args)
-        first = _descend(net, queries[:cut], starts[:cut], lam[:cut], *args)
+        second = worker.submit(_descend, loss, queries[cut:], starts[cut:], lam[cut:], budget)
+        first = _descend(loss, queries[:cut], starts[:cut], lam[:cut], budget)
         rest = second.result()
     return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
 
 
-def _descend(net, queries, starts, lam, objective, mad, mutable, budget, proto_pool):
+def _descend(loss, queries, starts, lam, budget):
     """`_run_attempt` on one set of rows, in the calling thread."""
     n, k, d = starts.shape
     C = starts
     state = AdamState(lr=budget.lr)
-    frozen = None if mutable.all() else ~mutable
+    frozen = None if loss.mutable.all() else ~loss.mutable
     for _ in range(budget.steps):
-        grad = _objective_grads(net, queries, C, lam, objective, mad, proto_pool)
+        grad = loss.grads(queries, C, lam)
         if frozen is not None:
             grad[:, :, frozen] = 0.0
         C = adam_step(state, C, grad)
-    probs = net.forward(C.reshape(n * k, d)).reshape(n, k)
-    return _snap_to_query(net, queries, C, probs, budget)
+    probs = loss.net.forward(C.reshape(n * k, d)).reshape(n, k)
+    return _snap_to_query(loss, queries, C, probs, budget)
 
 
 def _spare_cpu() -> bool:
@@ -442,9 +455,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _snap_to_query(net, queries, C, probs, budget):
+def _snap_to_query(loss, queries, C, probs, budget):
     """Round coordinates within `budget.lr` of the query exactly onto it,
-    keeping validity by `net`'s verdict.
+    keeping validity by the verdict of `loss`'s net.
 
     Candidates are chosen per slot: the snapped point when the model still
     accepts it (or when the raw point was rejected anyway), the raw point
@@ -456,7 +469,7 @@ def _snap_to_query(net, queries, C, probs, budget):
         return C, probs
     snapped = np.where(near, Q, C)
     n, k, d = C.shape
-    probs_snapped = net.forward(snapped.reshape(n * k, d)).reshape(n, k)
+    probs_snapped = loss.net.forward(snapped.reshape(n * k, d)).reshape(n, k)
     use = (probs_snapped > 0.5) | (probs <= 0.5)
     C = np.where(use[:, :, None], snapped, C)
     probs = np.where(use, probs_snapped, probs)
@@ -492,23 +505,15 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     n, d = queries.shape
     if d != dataset.d:
         raise ExplainError(f"queries have {d} features, dataset has {dataset.d}")
-    if objective.feature_mask is None:
-        mutable = np.ones(d, dtype=bool)
-    else:
-        mutable = np.asarray(objective.feature_mask, dtype=bool)
-        if mutable.shape != (d,):
-            raise ExplainError("feature mask length does not match feature count")
+    loss = _Objective.of(model, objective, dataset)
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
     schedule = _lam_schedule(objective)
-    mad = dataset.mad
     is_dice = objective.kind == "dice"
     k = objective.k if is_dice else 1
-    proto_pool = (_prototype_pool(model, dataset)
-                  if objective.kind == "prototypes" else None)
-    starts = _initial_candidates(initializer, queries, k, model, dataset, mutable, segments)
-    net = FrozenNet(model)
+    starts = _initial_candidates(initializer, queries, k, model, dataset, loss.mutable,
+                                 segments)
 
     results: list[CfResult | None] = [None] * n
 
@@ -519,7 +524,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         for i in np.flatnonzero(already):
             results[i] = CfResult(
                 x_cf=queries[i].copy(), valid=True,
-                cost=dist_wachter(refs[i], queries[i], mad),
+                cost=dist_wachter(refs[i], queries[i], loss.mad),
                 iterations=0, final_lam=schedule[0],
                 initializer=initializer.kind, optimizer="adam",
                 query_was_valid=True, lam_attempts=())
@@ -540,9 +545,8 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         lams = schedule[level:level + width]
         sub = np.array(pending)
         rows = np.repeat(sub, width)
-        cands, probs = _run_attempt(net, queries[rows], starts[rows],
-                                    np.tile(lams, len(sub)), objective, mad, mutable,
-                                    budget, proto_pool)
+        cands, probs = _run_attempt(loss, queries[rows], starts[rows],
+                                    np.tile(lams, len(sub)), budget)
         still = []
         for q, i in enumerate(sub):
             for j, lam in enumerate(lams):
@@ -552,7 +556,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
                 valid = probs[r] > 0.5
                 success = valid.all() if is_dice else bool(valid[0])
                 if success:
-                    results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
+                    results[i] = _finish(queries[i], refs[i], cand, valid, loss.mad, lam,
                                          initializer, budget, attempts_of[i], is_dice)
                     break
             else:
@@ -566,7 +570,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         if is_dice and valid.any():
             # The escalation floor was reached with a partial candidate set;
             # accept the closest valid candidate rather than fail outright.
-            results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
+            results[i] = _finish(queries[i], refs[i], cand, valid, loss.mad, lam,
                                  initializer, budget, attempts_of[i], True)
         else:
             results[i] = CfResult(
@@ -633,12 +637,11 @@ def batch_explain(model, points, objective: CfObjective, dataset,
     slices = segment_slices(segments, points.shape[0])
     refs = (points if cost_reference is None
             else np.atleast_2d(np.asarray(cost_reference, dtype=float)))
+    if refs.shape != points.shape:
+        raise ExplainError("cost reference shape does not match queries")
     first = _first_equal_segments(points, refs, slices)
     kept = [i for i, j in enumerate(first) if i == j]
-    if len(kept) == len(slices):
-        return _summarize(_search_many(model, points, objective, dataset, initializer,
-                                       budget, cost_reference, segments=segments))
-    counts = [slices[i].stop - slices[i].start for i in kept]
+    counts = tuple(slices[i].stop - slices[i].start for i in kept)
     found = _search_many(model, np.concatenate([points[slices[i]] for i in kept]),
                          objective, dataset, initializer, budget,
                          np.concatenate([refs[slices[i]] for i in kept]), segments=counts)
@@ -651,11 +654,7 @@ def batch_explain(model, points, objective: CfObjective, dataset,
 
 def _first_equal_segments(points, refs, slices) -> list[int]:
     """For each segment, the first segment holding the same bytes in its
-    queries and cost references: itself when no earlier one does.  A
-    `cost_reference` of the wrong shape matches nothing, and `_search_many`
-    rejects it."""
-    if refs.shape != points.shape:
-        return list(range(len(slices)))
+    queries and cost references: itself when no earlier one does."""
 
     def same(a, b):   # rows have one length, so equal bytes mean equal row counts
         return (points[a].tobytes() == points[b].tobytes()

@@ -42,12 +42,13 @@ the last of them, `W_0.T` with one column per feature, zero-padded to a
 multiple of 8 columns.  A `FrozenNet` holds those copies, and
 `MlpClassifier.grad_input_full` builds one per call.  Packing a 4x200 net
 costs 0.4-0.7 ms, more than half of a 45-row kernel call, so a search
-builds one per search and keeps it through every step.  No `MlpClassifier`
-keeps one: its weights may be rewritten in place, and the copies would go
-stale.  The trainers sum their rows, so they need no rule: their backward
-products, phase one's input gradients among them, multiply by transposed
-views of weights that change every step.  With a threaded BLAS no rule
-holds: BLAS divides a product's rows among its threads.
+builds one and keeps it through every step, as does a hypergradient batch.
+No `MlpClassifier` keeps one: its weights may be rewritten in place, and
+the copies would go stale.  The trainers sum their rows, so they need no
+rule: their backward products, phase one's input gradients among them,
+multiply by transposed views of weights that change every step.  With a
+threaded BLAS no rule holds: BLAS divides a product's rows among its
+threads.
 """
 
 from __future__ import annotations
@@ -544,7 +545,7 @@ def save_model(model: MlpClassifier, path) -> None:
 
 def load_model(path) -> MlpClassifier:
     """The model `save_model` wrote: FileNotFoundError when there is no file,
-    a DataError naming it when it holds no such checkpoint."""
+    a DataError naming it unless it holds such a checkpoint, all finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
@@ -558,4 +559,6 @@ def load_model(path) -> MlpClassifier:
         raise DataError(f"{path} is not a model checkpoint") from None
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if not np.isfinite(net.flatten()).all():
+        raise DataError(f"{path}: non-finite parameters")
     return net

@@ -108,10 +108,9 @@ class TestImplicitJacobian:
         j = int(np.flatnonzero(res.x_cf == x)[0])
         near = res.x_cf.copy()
         near[j] += 5e-5
-        at_kink = adversary._implicit_system(baseline_small, x, obj, res.x_cf, synth_small,
-                                             lam=res.final_lam)
-        off_kink = adversary._implicit_system(baseline_small, x, obj, near, synth_small,
-                                              lam=res.final_lam)
+        loss = explainers._Objective.of(baseline_small, obj, synth_small)
+        at_kink = adversary._implicit_system(loss, x, res.x_cf, lam=res.final_lam)
+        off_kink = adversary._implicit_system(loss, x, near, lam=res.final_lam)
         assert np.array_equal(off_kink.free, at_kink.free)
         assert j not in off_kink.free
         assert off_kink.rcond == at_kink.rcond
@@ -126,7 +125,8 @@ class TestImplicitJacobian:
         x = tiny_ds.features[0]
         x_cf = x + np.array([0.3, -0.2])
         obj = CfObjective("wachter")
-        system = adversary._implicit_system(net, x, obj, x_cf, tiny_ds, lam=4.0)
+        system = adversary._implicit_system(explainers._Objective.of(net, obj, tiny_ds), x,
+                                            x_cf, lam=4.0)
         assert system.free.size == 2 <= adversary.FULL_INVERSE_MAX_DIM
         assert 1.0 / np.linalg.cond(system.hessian) < adversary.RCOND_MIN
         chosen = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
@@ -134,6 +134,15 @@ class TestImplicitJacobian:
         diagonal = implicit_jacobian(net, x, obj, x_cf, tiny_ds, lam=4.0)
         assert chosen.mode == diagonal.mode == "diagonal-approximation"
         assert chosen.matrix.tobytes() == diagonal.matrix.tobytes()
+
+    def test_mask_of_wrong_length_refused(self, tiny_ds, tiny_net, tiny_search):
+        # the search refuses this mask; the Jacobian used to broadcast it
+        x, res, _ = tiny_search
+        obj = CfObjective("wachter", feature_mask=(True,))
+        with pytest.raises(explainers.ExplainError, match="feature mask length"):
+            rl.find_counterfactual(tiny_net, x, obj, tiny_ds)
+        with pytest.raises(explainers.ExplainError, match="feature mask length"):
+            implicit_jacobian(tiny_net, x, obj, res.x_cf, tiny_ds, lam=res.final_lam)
 
     def test_stationarity_flag(self, tiny_ds, tiny_net):
         x = tiny_ds.features[0]
@@ -374,6 +383,23 @@ class TestBatchHypergradient:
         assert_close(grad, alone / 2.0)
         assert_close(grad, dense_mean_hypergradient(tiny_net, origins, origins,
                                                     [res, refused], obj, tiny_ds))
+
+    def test_one_net_copy_and_pool_per_batch(self, wide_ds, wide_net, monkeypatch):
+        built = {"FrozenNet": 0, "_prototype_pool": 0}
+        for name in built:
+            original = getattr(explainers, name)
+
+            def counted(*args, name=name, original=original):
+                built[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(explainers, name, counted)
+        obj = CfObjective("prototypes")
+        origins, queries, results = planted_batch(wide_ds, obj, seed=3)
+        assert sum(r.found and not r.query_was_valid for r in results) >= 3
+        _, counts = batch_hypergradient(wide_net, origins, queries, results, obj, wide_ds)
+        assert counts.full_inverse + counts.diagonal >= 3
+        assert built == {"FrozenNet": 1, "_prototype_pool": 1}
 
     def test_nothing_to_differentiate_gives_zero(self, tiny_ds, tiny_net):
         obj = CfObjective("wachter")

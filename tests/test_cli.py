@@ -262,6 +262,23 @@ def test_corrupt_checkpoint_one_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["audit", "explain"])
+def test_non_finite_checkpoint_one_error_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, tiny_config(explain_index=0))
+    net = model_mod.MlpClassifier([cli.build_dataset(load_config(cfg)).d, 4, 1], seed=0)
+    flat = net.flatten()
+    flat[3] = np.nan
+    net.set_flat(flat)
+    model_path = tmp_path / "nan.npz"
+    model_mod.save_model(net, model_path)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--model", str(model_path), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model_path}: non-finite parameters\n"
+    assert captured.out == "" and not (out / "report.json").exists()
+
+
 class TestExplainCommand:
     def test_json_to_stdout(self, tmp_path, capsys):
         blob = tiny_config()
@@ -390,6 +407,26 @@ class TestSweepCommand:
         want = (f"model expects {d + 1} features, dataset has {d}" if part == "model"
                 else f"delta has {d + 1} values, dataset has {d} features")
         assert captured.err == f"error: sweep.artifact: {want}\n"
+        assert captured.out == "" and not (out / "cells").exists()
+
+    def test_non_finite_artifact_delta_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tiny_config())
+        d = cli.build_dataset(load_config(cfg)).d
+        art_dir = tmp_path / "art"
+        art = adversary.AdversarialArtifact(
+            model=model_mod.MlpClassifier([d, 4, 1], seed=0), delta=np.zeros(d),
+            phase1_loss_trace=np.empty(0), phase1_delta_l1_trace=np.empty(0),
+            phase2_steps=[], constraint_satisfied=False, explainer_kind="wachter")
+        adversary.save_artifact(art, art_dir)
+        delta_path = art_dir / "delta.csv"
+        delta_path.write_text("feature,delta\n" + "".join(
+            f"{j},{'nan' if j == 0 else 0.0}\n" for j in range(d)))
+        blob = tiny_config(sweep={"axis": "initializer", "values": ["origin", "origin"],
+                                  "artifact": str(art_dir)})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, blob), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: delta: {delta_path} has a value that is not finite\n"
         assert captured.out == "" and not (out / "cells").exists()
 
     @pytest.mark.parametrize("corrupt", ["not-json", "unknown-step-key"])

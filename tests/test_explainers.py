@@ -17,7 +17,7 @@ from recourselab.model import FrozenNet
 from recourselab.explainers import (
     INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, CfResult,
     ExplainError, Initializer, SearchBudget,
-    _initial_candidates, _objective_grads, _prototype_pool, _snap_to_query, batch_explain,
+    _initial_candidates, _Objective, _snap_to_query, batch_explain,
     dist_wachter, find_counterfactual, nearest_predicted_positive, results_to_csv,
     sensitivity_probe,
 )
@@ -27,8 +27,16 @@ from conftest import negative_test_rows
 
 # Reference definitions of the objectives' distance and loss terms, written
 # one point at a time and independently of the batched kernel
-# `_objective_grads`, whose gradient `TestObjectiveKernel` checks against
+# `_Objective.grads`, whose gradient `TestObjectiveKernel` checks against
 # central differences of `objective_value`.
+
+
+def _on_net(model, spec, mad, mutable=None, pool=None) -> _Objective:
+    """`spec` on `model` with the MAD, mask and prototypes pool given, for a
+    model without a dataset."""
+    mutable = np.ones(model.d, dtype=bool) if mutable is None else mutable
+    return _Objective(spec, model, FrozenNet(model), mad, mutable, pool)
+
 
 def dist_sparse(x, x_cf) -> float:
     """Elastic-net style distance: l1 plus squared l2."""
@@ -200,7 +208,8 @@ class TestSnapToQuery:
         n, k, d = C.shape
         probs = net.forward(C.reshape(n * k, d)).reshape(n, k)
         queries = np.asarray(query, dtype=float)[None, :].repeat(n, axis=0)
-        return _snap_to_query(net, queries, C.copy(), probs, self.BUDGET)
+        loss = _on_net(net, CfObjective("wachter"), np.ones(d))
+        return _snap_to_query(loss, queries, C.copy(), probs, self.BUDGET)
 
     def test_coordinates_within_lr_land_on_query(self):
         net = self._net(0.0, 10.0)                 # accepts x1 > 0
@@ -338,7 +347,7 @@ class TestFindCounterfactual:
 
 
 class TestObjectiveKernel:
-    """`_objective_grads` checked against central differences of the
+    """`_Objective.grads` checked against central differences of the
     test-side `objective_value`, at candidates away from every kink."""
 
     LAMS = np.array([0.5, 2.0, 8.0, 32.0])
@@ -360,8 +369,7 @@ class TestObjectiveKernel:
 
     def _kernel(self, kind, dataset, model, queries, C, lam, mask=None):
         obj = CfObjective(kind, feature_mask=mask)
-        pool = _prototype_pool(model, dataset)
-        return _objective_grads(model, queries, C, lam, obj, dataset.mad, pool)
+        return _Objective.of(model, obj, dataset).grads(queries, C, lam)
 
     @pytest.mark.parametrize("mask", MASKS)
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
@@ -494,13 +502,14 @@ class TestSpeculativeEscalation:
         queries = np.array([[-800.0], [0.1], [-800.0], [0.1]])
         lams = np.array([1.0, 2.0, 4.0, 8.0])
         budget = SearchBudget(steps=30)
-        args = (CfObjective("wachter"), np.ones(1), np.ones(1, bool), budget, None)
-        cands, probs = explainers._run_attempt(net, queries, queries[:, None, :], lams, *args)
+        loss = _on_net(net, CfObjective("wachter"), np.ones(1))
+        cands, probs = explainers._run_attempt(loss, queries, queries[:, None, :], lams,
+                                               budget)
         assert cands[[0, 2], 0, 0].tolist() == [-800.0, -800.0]
         assert (probs[[0, 2]] <= 0.5).all()
         for r in range(len(lams)):
             one, one_probs = explainers._run_attempt(
-                net, queries[r:r + 1], queries[r:r + 1, None, :], lams[r:r + 1], *args)
+                loss, queries[r:r + 1], queries[r:r + 1, None, :], lams[r:r + 1], budget)
             assert cands[r].tobytes() == one[0].tobytes()
             assert probs[r].tobytes() == one_probs[0].tobytes()
         raw = np.random.default_rng(5).normal(size=(40, 1))
@@ -513,12 +522,13 @@ class TestSpeculativeEscalation:
                                                          baseline_small):
         x = synth_small.features[negative_test_rows(synth_small, baseline_small)[0]]
         calls = []
+        grads = _Objective.grads
 
-        def counting(*args):
-            calls.append(args[2].shape[0])
-            return _objective_grads(*args)
+        def counting(self, queries, C, lam):
+            calls.append(C.shape[0])
+            return grads(self, queries, C, lam)
 
-        monkeypatch.setattr(explainers, "_objective_grads", counting)
+        monkeypatch.setattr(_Objective, "grads", counting)
         args = (baseline_small, x, CfObjective("wachter"), synth_small, Initializer(),
                 self.BUDGET)
         want = _sequential(monkeypatch, find_counterfactual, *args)
@@ -634,11 +644,12 @@ def row_cut_mismatches() -> list:
     """Every place a batch of about 100 rows can be cut, on a desk-shaped and
     a 4x200 net, where the two halves' outputs differ in any byte from the
     whole batch's: `grad_input_full` for both `wrt` values,
-    `_objective_grads` for each objective (dice with k = 4 candidates a
+    `_Objective.grads` for each objective (dice with k = 4 candidates a
     row), and `_nearest_prototypes`.  Run with BLAS pinned (`_pinned`)."""
     bad = []
     for layers, n in (([2, 32, 32, 1], 101), (FULL_SCALE_LAYERS, 98)):
-        net = FrozenNet(rl.MlpClassifier(layers, seed=3))
+        model = rl.MlpClassifier(layers, seed=3)
+        net = FrozenNet(model)
         d = net.d
         rng = np.random.default_rng(6)
         X = 2.0 * rng.normal(size=(n, d))
@@ -653,8 +664,8 @@ def row_cut_mismatches() -> list:
         for kind in OBJECTIVE_KINDS:
             k = 4 if kind == "dice" else 1
             C = X[:, None, :] + rng.normal(size=(n, k, d))
-            calls[kind] = lambda s, C=C, obj=CfObjective(kind, k=k): (_objective_grads(
-                net, X[s], C[s], lam[s], obj, mad, proto_pool),)
+            loss = _on_net(model, CfObjective(kind, k=k), mad, pool=proto_pool)
+            calls[kind] = lambda s, C=C, loss=loss: (loss.grads(X[s], C[s], lam[s]),)
         for what, call in calls.items():
             whole = call(slice(None))
             for cut in range(1, n):
@@ -673,8 +684,8 @@ def split_round_mismatches() -> list:
     """The `SPLIT_CASES` whose round on a 4x200 net gives other bytes split
     over two threads than whole, or did not run as asked.  Run with BLAS
     pinned (`_pinned`)."""
-    net = FrozenNet(rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0))
-    d = net.d
+    model = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
+    d = model.d
     rng = np.random.default_rng(4)
     mad = rng.uniform(0.5, 2.0, d)
     pool = rng.normal(size=(40, d))
@@ -685,11 +696,12 @@ def split_round_mismatches() -> list:
         k = 4 if kind == "dice" else 1
         mutable = np.arange(d) % 3 > 0 if masked else np.ones(d, dtype=bool)
         queries = rng.normal(size=(n, d))
-        starts = _initial_candidates(Initializer(init, seed=1), queries, k, net, None, mutable)
+        starts = _initial_candidates(Initializer(init, seed=1), queries, k, model, None,
+                                     mutable)
         lam = (10.0 ** -rng.integers(0, 4, n) if kind == "dice"
                else 2.0 ** rng.integers(0, 12, n))
-        args = (net, queries, starts, lam, CfObjective(kind, k=k), mad, mutable, budget,
-                proto_pool)
+        loss = _on_net(model, CfObjective(kind, k=k), mad, mutable, proto_pool)
+        args = (loss, queries, starts, lam, budget)
         whole, whole_threads = _round_on(1, args)
         split, split_threads = _round_on(2, args)
         same = all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
@@ -717,9 +729,9 @@ class TestSplitRounds:
         monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
         net = rl.MlpClassifier(layers, seed=0)
         queries = np.zeros((rows, net.d))
-        args = (net, queries, np.repeat(queries[:, None], k, axis=1), np.ones(rows),
-                CfObjective("dice" if k > 1 else "wachter", k=k), np.ones(net.d),
-                np.ones(net.d, dtype=bool), SearchBudget(steps=1), None)
+        loss = _on_net(net, CfObjective("dice" if k > 1 else "wachter", k=k), np.ones(net.d))
+        args = (loss, queries, np.repeat(queries[:, None], k, axis=1), np.ones(rows),
+                SearchBudget(steps=1))
         (cands, probs), threads = _attempt_halves(monkeypatch, *args)
         assert len(threads) == (2 if splits else 1)
         assert cands.shape == (rows, k, net.d) and probs.shape == (rows, k)
@@ -1012,8 +1024,8 @@ class TestRepeatedSegments:
             if r.found:
                 assert r.cost == dist_wachter(ref, r.x_cf, synth_small.mad)
 
-    def test_no_repeat_passes_the_call_through(self, monkeypatch, synth_small,
-                                               baseline_small):
+    def test_no_repeat_searches_every_segment_once(self, monkeypatch, synth_small,
+                                                    baseline_small):
         a, b = self._queries(synth_small, baseline_small)
         calls = _record_searches(monkeypatch)
         batch_explain(baseline_small, np.concatenate([a, b, a + 0.1]), CfObjective("wachter"),

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import recourselab as rl
+from recourselab.data import DataError
 from recourselab.model import (
     BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, TrainingDiverged, Workspace, accuracy,
     adam_step, load_model, save_model, sigmoid, train_baseline,
@@ -461,6 +464,17 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused(self, tmp_path, value):
+        net = MlpClassifier([3, 5, 1], seed=8)
+        flat = net.flatten()
+        flat[7] = value
+        net.set_flat(flat)
+        path = tmp_path / "model.npz"
+        save_model(net, path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite parameters$"):
+            load_model(path)
 
 
 def test_sigmoid_stable():
