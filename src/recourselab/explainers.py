@@ -19,6 +19,16 @@ evaluation search their three conditions (protected, non-protected,
 non-protected + δ) in one call.  A segment whose queries and references
 repeat an earlier segment's bytes is searched once: with δ = 0 the third
 condition gets copies of the second's results.
+
+Precision rule.  On a net of at least `FLOAT32_WEIGHTS` weights, where a
+descent step is bound by FLOPs, a search's `_Objective` holds a float32
+`FrozenNet`, MAD and prototypes pool, and the descent runs in float32: the
+gradients, the λ values and Adam's state.  Each attempt then returns its
+candidates to float64, with every frozen feature exactly its start's, and
+the model's own float64 arrays decide their validity, before and after the
+sparsity snap; `x_cf` and every cost are float64.  Smaller nets search in
+float64.  The implicit step's objects are always float64: its central
+differences would drown in float32 rounding.
 """
 
 from __future__ import annotations
@@ -53,6 +63,18 @@ STEP_MACS = 1 << 19
 # on two threads (`_run_attempt`): a 4x200 net's rounds from 60 rows, so
 # every full-scale round; never a 32x32 net's (468 rows are 0.5M).
 SPLIT_MACS = 1 << 23
+
+# Weights (one row's multiply-adds) from which a search descends in float32
+# (`_search_dtype`).  One descent step (wachter gradient plus Adam) on 96
+# rows, one BLAS thread, float64 / float32: 219 / 269 µs on a 99-32-32 net
+# (4,224 weights), 294 / 250 µs on 99-64-64 (10,496), 516 / 275 µs on
+# 99-128-128 (29,184), 856 / 418 µs on 99-200-200 (60,000) and
+# 1,690 / 788 µs on 4x200 (140,000).  A net on few features pays for
+# float32's row padding (`model._sgemm_rows`) in its first layer: 2-200-200
+# (40,600) took 559 / 636 µs and 2-256-256 (66,304) 826 / 782 µs, which at
+# 48 rows still lost (459 / 613 µs), while 4x200 gained (919 / 480 µs).
+# So float32 pays on every measured 96-row step from about 2^16 weights.
+FLOAT32_WEIGHTS = 1 << 16
 
 # The escalation schedule: the validity weight doubles up to MAX_DOUBLINGS
 # times; dice divides lam1 by 10 down to LAM1_FLOOR.
@@ -205,11 +227,11 @@ def _predicted_positive_train(model, dataset) -> np.ndarray:
     return pos
 
 
-def _prototype_pool(model, dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positively predicted train rows, a contiguous copy of their
-    transpose and their squared norms, computed once for every nearest-row
-    lookup of a search."""
-    pool = _predicted_positive_train(model, dataset)
+def _prototype_pool(model, dataset, dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positively predicted train rows in `dtype`, a contiguous copy of
+    their transpose and their squared norms, computed once for every
+    nearest-row lookup of a search."""
+    pool = _predicted_positive_train(model, dataset).astype(dtype, copy=False)
     return pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1)
 
 
@@ -230,10 +252,12 @@ def _nearest_prototypes(points: np.ndarray, proto_pool) -> np.ndarray:
 @dataclass(frozen=True)
 class _Objective:
     """One objective on one net, as the search and the implicit step read it:
-    the model's `FrozenNet`, the live model (for parameter gradients), the
-    MAD, the checked feature mask and, for prototypes, `_prototype_pool`'s
-    triple.  Built once per `_search_many` call (both threads of a split
-    round share it) and once per hypergradient batch or dense Jacobian."""
+    the model's `FrozenNet`, the live model (for parameter gradients and the
+    search's acceptance forward), the MAD, the checked feature mask and, for
+    prototypes, `_prototype_pool`'s triple; the net, MAD and pool in the
+    kernel's precision, `dtype`.  Built once per `_search_many` call (both
+    threads of a split round share it) and once per hypergradient batch or
+    dense Jacobian."""
 
     spec: CfObjective
     model: object
@@ -243,14 +267,22 @@ class _Objective:
     pool: tuple | None = None
 
     @classmethod
-    def of(cls, model, spec: CfObjective, dataset) -> "_Objective":
-        """`spec` on `model`; ExplainError when its mask has the wrong length."""
+    def of(cls, model, spec: CfObjective, dataset, search: bool = False) -> "_Objective":
+        """`spec` on `model`, in float64, or for a `search` in
+        `_search_dtype(model)`; ExplainError when its mask has the wrong
+        length."""
         mask = np.ones(dataset.d) if spec.feature_mask is None else spec.feature_mask
         mutable = np.asarray(mask, dtype=bool)
         if mutable.shape != (dataset.d,):
             raise ExplainError("feature mask length does not match feature count")
-        pool = _prototype_pool(model, dataset) if spec.kind == "prototypes" else None
-        return cls(spec, model, FrozenNet(model), dataset.mad, mutable, pool)
+        dtype = _search_dtype(model) if search else np.float64
+        pool = _prototype_pool(model, dataset, dtype) if spec.kind == "prototypes" else None
+        return cls(spec, model, FrozenNet(model, dtype), dataset.mad.astype(dtype, copy=False),
+                   mutable, pool)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.net.dtype
 
     def grads(self, queries, C, lam):
         """Gradient of the search objective for a batch of candidates.
@@ -258,12 +290,13 @@ class _Objective:
         `C` has shape (n, k, d) with k=1 for the single-candidate objectives.
         `lam` is the validity weight (dice: `lam1`), a scalar or one per
         query; each row's arithmetic is the same either way.  Returns a
-        gradient like `C`.  The l1 pieces use the sign subgradient (0 at kinks).
+        gradient like `C`, in `dtype` when `queries` and `C` are.  The l1
+        pieces use the sign subgradient (0 at kinks).
         """
         n, k, d = C.shape
         flat = C.reshape(n * k, d)
         D = C - queries[:, None, :]
-        lam = np.asarray(lam, dtype=float)
+        lam = np.asarray(lam, dtype=self.dtype)
         if lam.shape != (n,):
             lam = np.broadcast_to(lam, (n,))
         kind, mad = self.spec.kind, self.mad
@@ -275,7 +308,7 @@ class _Objective:
             lam1, lam2 = lam, self.spec.lam2
             pair = C[:, :, None, :] - C[:, None, :, :]
             # -active * glog + (lam1 / k) * sign(D) / mad - (lam2 / k^2) * sum_b pair_sign
-            grad *= -(logits < 1.0).astype(float)[:, :, None]
+            grad *= -(logits < 1.0).astype(grad.dtype)[:, :, None]
             prox = np.sign(D)
             prox *= (lam1 / k)[:, None, None]
             prox /= mad
@@ -422,17 +455,24 @@ def _run_attempt(loss, queries, starts, lam, budget):
 
 
 def _descend(loss, queries, starts, lam, budget):
-    """`_run_attempt` on one set of rows, in the calling thread."""
+    """`_run_attempt` on one set of rows, in the calling thread: the descent
+    in the kernel's precision, then the candidates in float64, their frozen
+    features exactly the starts', checked by the model itself."""
     n, k, d = starts.shape
-    C = starts
+    Q = queries.astype(loss.dtype, copy=False)
+    C = starts.astype(loss.dtype, copy=False)
+    lam = np.asarray(lam, dtype=loss.dtype)
     state = AdamState(lr=budget.lr)
     frozen = None if loss.mutable.all() else ~loss.mutable
     for _ in range(budget.steps):
-        grad = loss.grads(queries, C, lam)
+        grad = loss.grads(Q, C, lam)
         if frozen is not None:
             grad[:, :, frozen] = 0.0
         C = adam_step(state, C, grad)
-    probs = loss.net.forward(C.reshape(n * k, d)).reshape(n, k)
+    C = C.astype(float, copy=False)
+    if frozen is not None:
+        C[:, :, frozen] = starts[:, :, frozen]
+    probs = loss.model.forward(C.reshape(n * k, d)).reshape(n, k)
     return _snap_to_query(loss, queries, C, probs, budget)
 
 
@@ -457,7 +497,7 @@ def _usable_cpus() -> int:
 
 def _snap_to_query(loss, queries, C, probs, budget):
     """Round coordinates within `budget.lr` of the query exactly onto it,
-    keeping validity by the verdict of `loss`'s net.
+    keeping validity by the verdict of `loss`'s model.
 
     Candidates are chosen per slot: the snapped point when the model still
     accepts it (or when the raw point was rejected anyway), the raw point
@@ -469,7 +509,7 @@ def _snap_to_query(loss, queries, C, probs, budget):
         return C, probs
     snapped = np.where(near, Q, C)
     n, k, d = C.shape
-    probs_snapped = loss.net.forward(snapped.reshape(n * k, d)).reshape(n, k)
+    probs_snapped = loss.model.forward(snapped.reshape(n * k, d)).reshape(n, k)
     use = (probs_snapped > 0.5) | (probs <= 0.5)
     C = np.where(use[:, :, None], snapped, C)
     probs = np.where(use, probs_snapped, probs)
@@ -494,6 +534,13 @@ def _row_target(model) -> int:
     return max(SEARCH_ROWS, STEP_MACS // _weight_count(model))
 
 
+def _search_dtype(model) -> np.dtype:
+    """The precision of a search's descent: float32 on a net of at least
+    `FLOAT32_WEIGHTS` weights, else float64.  Like `_row_target` it reads
+    only the layer sizes."""
+    return np.dtype(np.float32 if _weight_count(model) >= FLOAT32_WEIGHTS else np.float64)
+
+
 def _weight_count(model) -> int:
     """Multiply-adds of one row's forward pass."""
     return sum(w.size for w in model.weights)
@@ -505,7 +552,8 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     n, d = queries.shape
     if d != dataset.d:
         raise ExplainError(f"queries have {d} features, dataset has {dataset.d}")
-    loss = _Objective.of(model, objective, dataset)
+    loss = _Objective.of(model, objective, dataset, search=True)
+    mad = dataset.mad
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
@@ -524,7 +572,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         for i in np.flatnonzero(already):
             results[i] = CfResult(
                 x_cf=queries[i].copy(), valid=True,
-                cost=dist_wachter(refs[i], queries[i], loss.mad),
+                cost=dist_wachter(refs[i], queries[i], mad),
                 iterations=0, final_lam=schedule[0],
                 initializer=initializer.kind, optimizer="adam",
                 query_was_valid=True, lam_attempts=())
@@ -556,7 +604,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
                 valid = probs[r] > 0.5
                 success = valid.all() if is_dice else bool(valid[0])
                 if success:
-                    results[i] = _finish(queries[i], refs[i], cand, valid, loss.mad, lam,
+                    results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
                                          initializer, budget, attempts_of[i], is_dice)
                     break
             else:
@@ -570,7 +618,7 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         if is_dice and valid.any():
             # The escalation floor was reached with a partial candidate set;
             # accept the closest valid candidate rather than fail outright.
-            results[i] = _finish(queries[i], refs[i], cand, valid, loss.mad, lam,
+            results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
                                  initializer, budget, attempts_of[i], True)
         else:
             results[i] = CfResult(

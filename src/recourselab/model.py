@@ -35,11 +35,19 @@ sits and however many rows the batch has.  BLAS computes a matrix-vector
 product's tail rows, a product with a transposed view, and a product with
 few columns each in other kernels, whose bits depend on where a row falls.
 So every product goes through `_row_matmul`, which takes a one-column
-product (the one-unit output layer) as a per-row dot product and a one-row
-product as two copies of the row; and the input-gradient chain
-(`_input_grad`) multiplies by contiguous copies of the transposed weights,
-the last of them, `W_0.T` with one column per feature, zero-padded to a
-multiple of 8 columns.  A `FrozenNet` holds those copies, and
+product (the one-unit output layer) as a per-row dot product and runs any
+other product on at least two rows, zero rows appended; and the
+input-gradient chain (`_input_grad`) multiplies by contiguous copies of the
+transposed weights, the last of them, `W_0.T` with one column per feature,
+zero-padded to a multiple of 8 columns.  Single precision needs one more
+step: on AVX-512, OpenBLAS's sgemm computes a product of at most 100^3
+multiply-adds in a small-matrix kernel that gives a row other bits than its
+blocked kernel, so `_row_matmul` zero-pads a float32 product's rows past
+`SMALL_GEMM_MACS` (`_sgemm_rows`).  A product whose inner dimension is 1
+rounds each entry once in either kernel and is not padded.  Without the
+padding, 509 of 582 cut checks of a 98-row float32 batch on a 4x200 net
+moved bits.  A `FrozenNet` holds the copies, in float64 or, for a search on
+a big net (see `explainers`), in float32, and
 `MlpClassifier.grad_input_full` builds one per call.  Packing a 4x200 net
 costs 0.4-0.7 ms, more than half of a 45-row kernel call, so a search
 builds one and keeps it through every step, as does a hypergradient batch.
@@ -68,6 +76,11 @@ DEFAULT_LR = 0.01
 PROB_CLIP = 1e-12   # keeps forward() strictly inside (0, 1)
 BCE_CLIP = 1e-7     # probability clamp before the log in the loss value
 
+# OpenBLAS's single-precision gemm on AVX-512 takes a product of at most
+# 100^3 multiply-adds to a small-matrix kernel; `_sgemm_rows` pads past it.
+SMALL_GEMM_MACS = 1 << 20
+_FLOAT32 = np.dtype(np.float32)   # numpy's one float32 dtype: `is` compares
+
 
 class NumericError(ArithmeticError):
     """Non-finite activations; carries the offending layer index."""
@@ -83,14 +96,20 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training loss became non-finite at step {step}")
 
 
+def _as_floats(x) -> np.ndarray:
+    """`x` as an array: float32 stays float32, anything else is float64."""
+    return x if getattr(x, "dtype", None) is _FLOAT32 else np.asarray(x, dtype=float)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below, in
+    the input's precision (`_as_floats`).
 
     Whole-array `where` rather than masked indexing, which costs more than
     the arithmetic at search batch sizes.  `minimum(z, -z)` rather than
     `-|z|` keeps even the sign of a nan that of the two formulas.
     """
-    z = np.asarray(z, dtype=float)
+    z = _as_floats(z)
     e = np.exp(np.minimum(z, -z))
     q = 1.0 + e
     return np.where(z >= 0, 1.0 / q, e / q)
@@ -144,24 +163,41 @@ def _row_matmul(a: np.ndarray, w: np.ndarray, key=None,
 
     numpy hands a product with one column, or with one row, to BLAS's
     matrix-vector kernel, which gives a row other bits than a batch does.
-    So one column is a per-row dot product, and one row is multiplied as
-    two copies of itself.
+    So one column is a per-row dot product, and any other product runs on
+    at least two rows (float32: `_sgemm_rows`), zero rows appended.
     """
     n, m = a.shape[0], w.shape[1]
     if m == 1:
         return np.vecdot(a, w[:, 0])[:, None]
-    out = None if workspace is None else workspace.rows(key, max(n, 2), m)
-    if n == 1:
-        return np.matmul(np.concatenate([a, a]), w, out=out)[:1]
-    return np.matmul(a, w, out=out)
+    rows = _sgemm_rows(n, a.shape[1], m) if a.dtype is _FLOAT32 else n if n > 1 else 2
+    out = None if workspace is None else workspace.rows(key, rows, m)
+    if rows == n:
+        return np.matmul(a, w, out=out)
+    padded = np.zeros((rows, a.shape[1]), a.dtype)
+    padded[:n] = a
+    return np.matmul(padded, w, out=out)[:n]
+
+
+def _sgemm_rows(n: int, inner: int, m: int) -> int:
+    """Rows that a float32 (n, inner) @ (inner, m) product must run on to
+    take BLAS's blocked kernel: at least two, and more than
+    `SMALL_GEMM_MACS` multiply-adds, since single-precision gemm computes a
+    smaller product in a kernel that gives its rows other bits.  A product
+    whose inner dimension is 1 rounds each entry once in any kernel, so it
+    needs no more (padding the output layer's backward product would give
+    it 5,243 rows)."""
+    if inner == 1:
+        return max(n, 2)
+    return max(n, 2, SMALL_GEMM_MACS // (inner * m) + 1)
 
 
 def _forward(weights, biases, X: np.ndarray, check: bool, workspace: Workspace | None):
     """Returns (activations per layer starting at the input, final logits).
 
-    With a `workspace`, the hidden activations are views of its buffers.
+    In the input's precision (`_as_floats`) when the weights share it.  With
+    a `workspace`, the hidden activations are views of its buffers.
     """
-    a = np.asarray(X, dtype=float)
+    a = _as_floats(X)
     d = weights[0].shape[0]
     if a.ndim != 2 or a.shape[1] != d:
         raise ValueError(f"expected (n, {d}) inputs, got {a.shape}")
@@ -200,35 +236,34 @@ class FrozenNet:
     """One net's weights as they were when it was built, with the copies that
     make each row's bits independent of its batch (the module's row rule).
 
-    It keeps the net's weight and bias arrays and contiguous copies of their
+    It computes in `dtype`.  In float64 it keeps the net's own weight and
+    bias arrays; in float32 it keeps float32 copies of them, and nothing in
+    float64.  Either way it adds contiguous copies of the weights'
     transposes, the first zero-padded to a multiple of 8 columns.  A write
-    into the net's arrays after it was built would reach the former but not
-    the copies, so build one when the weights are final and drop it when
-    they change.  It writes nothing, so threads may share one.
+    into the net's arrays after it was built would reach the net's own
+    arrays but not the copies, so build one when the weights are final and
+    drop it when they change.  It writes nothing, so threads may share one.
     """
 
-    def __init__(self, net: "MlpClassifier"):
-        self.weights = list(net.weights)
-        self.biases = list(net.biases)
+    def __init__(self, net: "MlpClassifier", dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        self.weights = [w.astype(self.dtype, copy=False) for w in net.weights]
+        self.biases = [b.astype(self.dtype, copy=False) for b in net.biases]
         self.d = net.d
         self._back = [np.ascontiguousarray(w.T) for w in self.weights[1:]]
         w0 = self.weights[0]
-        self._first = np.zeros((w0.shape[1], -(-self.d // 8) * 8))
+        self._first = np.zeros((w0.shape[1], -(-self.d // 8) * 8), self.dtype)
         self._first[:, :self.d] = w0.T
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities of a 2-d batch, clipped to (0, 1)."""
-        _, z = _forward(self.weights, self.biases, X, False, None)
-        return _clip_prob(sigmoid(z))
-
     def grad_input_full(self, X: np.ndarray, wrt: str = "prob"):
-        """`MlpClassifier.grad_input_full` of the net as it was."""
+        """`MlpClassifier.grad_input_full` of the net as it was, in its
+        `dtype` for inputs of that dtype."""
         acts, z = _forward(self.weights, self.biases, X, False, None)
         p = sigmoid(z)
         if wrt == "prob":
             g = (p * (1.0 - p))[:, None]
         elif wrt == "logit":
-            g = np.ones((z.shape[0], 1))
+            g = np.ones((z.shape[0], 1), self.dtype)
         else:
             raise ValueError(f"unknown wrt {wrt!r}")
         for a in acts[1:]:
@@ -461,13 +496,14 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected update; works on arrays of any shape.
+    """One bias-corrected update; works on arrays of any shape, in the
+    parameters' precision (`_as_floats`), the state's moments included.
 
     Updates `state.m` and `state.v` in place and returns new parameters;
     `params` and `grad` are not written.
     """
-    params = np.asarray(params, dtype=float)
-    grad = np.asarray(grad, dtype=float)
+    params = _as_floats(params)
+    grad = np.asarray(grad, dtype=params.dtype)
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
     if state.m is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import recourselab as rl
-from conftest import negative_test_rows
+from conftest import csv_dataset, negative_test_rows
 from recourselab import adversary, explainers
 from recourselab.adversary import (
     AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Aborted, Phase2Config,
@@ -216,22 +216,6 @@ class TestCounterfactualTermGrad:
 
 def assert_close(got, want, rtol=1e-9):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
-
-
-def csv_dataset(directory, d, seed):
-    """Two label clusters in `d` standard-normal features, loaded from CSV."""
-    rng = np.random.default_rng(seed)
-    label = rng.integers(0, 2, 120)
-    feats = rng.standard_normal((120, d)) + np.where(label == 1, 1.0, -1.0)[:, None]
-    group = rng.integers(0, 2, 120)
-    names = [f"f{j}" for j in range(d)]
-    lines = [",".join(names + ["group", "label"])]
-    lines += [",".join(map(repr, row.tolist())) + f",{g},{y}"
-              for row, g, y in zip(feats, group, label)]
-    path = directory / "data.csv"
-    path.write_text("\n".join(lines) + "\n")
-    schema = rl.CsvSchema(label="label", protected_column="group", features=names)
-    return rl.load_csv(path, schema, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from recourselab.explainers import (
     sensitivity_probe,
 )
 
-from conftest import negative_test_rows
+from conftest import csv_dataset, negative_test_rows
 
 
 # Reference definitions of the objectives' distance and loss terms, written
@@ -539,26 +540,50 @@ class TestSpeculativeEscalation:
         assert len(calls) == self.BUDGET.steps
 
 
+FULL_SCALE_LAYERS = [99, 200, 200, 200, 200, 1]
+
+
 class TestRowTarget:
-    """How many rows a speculative round aims for, read from the layer sizes."""
+    """How many rows a speculative round aims for, and in which precision
+    it descends, read from the layer sizes."""
 
     def test_reads_only_layer_sizes(self):
         a = rl.MlpClassifier([2, 32, 32, 1], seed=0)
         b = rl.MlpClassifier([2, 32, 32, 1], seed=5)
         b.set_flat(np.zeros(b.param_count))
         assert explainers._row_target(a) == explainers._row_target(b)
+        assert explainers._search_dtype(a) == explainers._search_dtype(b) == np.float64
 
         class Shapes:
             weights = [np.empty((2, 32)), np.empty((32, 32)), np.empty((32, 1))]
 
         assert explainers._row_target(Shapes()) == explainers._row_target(a)
+        assert explainers._search_dtype(Shapes()) == np.float64
 
     def test_full_scale_net_keeps_search_rows(self):
-        net = rl.MlpClassifier([99, 200, 200, 200, 200, 1], seed=0)
+        net = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
         assert explainers._row_target(net) == explainers.SEARCH_ROWS
+        assert explainers._search_dtype(net) == np.float32
 
     def test_desk_net(self):
         assert explainers._row_target(rl.MlpClassifier([2, 32, 32, 1], seed=0)) == 468
+
+    @pytest.mark.parametrize("layers, dtype", [([2, 32, 32, 1], np.float64),
+                                               (FULL_SCALE_LAYERS, np.float32)])
+    def test_search_builds_one_kernel(self, monkeypatch, layers, dtype):
+        built = []
+        frozen_net = explainers.FrozenNet
+
+        def recorded(net, precision):
+            built.append(np.dtype(precision))
+            return frozen_net(net, precision)
+
+        monkeypatch.setattr(explainers, "FrozenNet", recorded)
+        net = rl.MlpClassifier(layers, seed=0)
+        ds = SimpleNamespace(d=net.d, mad=np.ones(net.d))
+        find_counterfactual(net, np.zeros(net.d), CfObjective("wachter"), ds,
+                            budget=SearchBudget(steps=1))
+        assert built == [dtype]
 
 
 @pytest.fixture(scope="module")
@@ -584,7 +609,6 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
     _assert_same_results(got, want)
 
 
-FULL_SCALE_LAYERS = [99, 200, 200, 200, 200, 1]
 PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # (objective, query rows, feature mask, starts): odd and even row counts
@@ -640,39 +664,59 @@ def _pinned(function: str):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _search_objective(model, spec, mad, train_rows) -> _Objective:
+    """`spec` on `model` as `_search_many` builds it, in the search's
+    precision, from a dataset holding only the MAD and the train rows (the
+    prototypes pool is those the model accepts)."""
+    return _Objective.of(model, spec, SimpleNamespace(d=model.d, mad=mad, train_features=train_rows),
+                         search=True)
+
+
 def row_cut_mismatches() -> list:
     """Every place a batch of about 100 rows can be cut, on a desk-shaped and
     a 4x200 net, where the two halves' outputs differ in any byte from the
     whole batch's: `grad_input_full` for both `wrt` values,
     `_Objective.grads` for each objective (dice with k = 4 candidates a
-    row), and `_nearest_prototypes`.  Run with BLAS pinned (`_pinned`)."""
+    row), and `_nearest_prototypes`; in float64, and on the 4x200 net also
+    in float32, with each objective built as a search builds it.  Run with
+    BLAS pinned (`_pinned`)."""
     bad = []
     for layers, n in (([2, 32, 32, 1], 101), (FULL_SCALE_LAYERS, 98)):
         model = rl.MlpClassifier(layers, seed=3)
-        net = FrozenNet(model)
-        d = net.d
+        d = model.d
         rng = np.random.default_rng(6)
         X = 2.0 * rng.normal(size=(n, d))
         mad = rng.uniform(0.5, 2.0, d)
         pool = rng.normal(size=(37, d))
         proto_pool = (pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1))
         lam = 2.0 ** rng.integers(0, 12, n)
-        calls = {f"grad_input_full {wrt}": (lambda s, wrt=wrt: net.grad_input_full(X[s], wrt))
-                 for wrt in ("prob", "logit")}
-        calls["_nearest_prototypes"] = lambda s: (
-            explainers._nearest_prototypes(X[s], proto_pool),)
-        for kind in OBJECTIVE_KINDS:
-            k = 4 if kind == "dice" else 1
-            C = X[:, None, :] + rng.normal(size=(n, k, d))
-            loss = _on_net(model, CfObjective(kind, k=k), mad, pool=proto_pool)
-            calls[kind] = lambda s, C=C, loss=loss: (loss.grads(X[s], C[s], lam[s]),)
-        for what, call in calls.items():
-            whole = call(slice(None))
-            for cut in range(1, n):
-                halves = zip(call(slice(None, cut)), call(slice(cut, None)))
-                if any(np.concatenate(h).tobytes() != w.tobytes()
-                       for h, w in zip(halves, whole)):
-                    bad.append([layers, what, cut])
+        Cs = {kind: X[:, None, :] + rng.normal(size=(n, 4 if kind == "dice" else 1, d))
+              for kind in OBJECTIVE_KINDS}
+        kernels = [("float64", {kind: _on_net(model, CfObjective(kind, k=C.shape[1]), mad,
+                                              pool=proto_pool) for kind, C in Cs.items()})]
+        if explainers._search_dtype(model) == np.float32:
+            kernels.append(("float32", {kind: _search_objective(
+                model, CfObjective(kind, k=C.shape[1]), mad, X) for kind, C in Cs.items()}))
+        for precision, losses in kernels:
+            dtype = losses["wachter"].dtype
+            Xp, lam_p = X.astype(dtype), lam.astype(dtype)
+            net, pool_p = losses["wachter"].net, losses["prototypes"].pool
+            calls = {f"grad_input_full {wrt}":
+                     (lambda s, wrt=wrt, net=net, Xp=Xp: net.grad_input_full(Xp[s], wrt))
+                     for wrt in ("prob", "logit")}
+            calls["_nearest_prototypes"] = lambda s, Xp=Xp, pool_p=pool_p: (
+                explainers._nearest_prototypes(Xp[s], pool_p),)
+            for kind, loss in losses.items():
+                calls[kind] = lambda s, C=Cs[kind].astype(dtype), loss=loss, Xp=Xp, lam_p=lam_p: (
+                    loss.grads(Xp[s], C[s], lam_p[s]),)
+            for what, call in calls.items():
+                whole = call(slice(None))
+                assert all(w.dtype == dtype for w in whole)
+                for cut in range(1, n):
+                    halves = zip(call(slice(None, cut)), call(slice(cut, None)))
+                    if any(np.concatenate(h).tobytes() != w.tobytes()
+                           for h, w in zip(halves, whole)):
+                        bad.append([layers, precision, what, cut])
     return bad
 
 
@@ -682,8 +726,9 @@ def test_each_row_independent_of_its_batch():
 
 def split_round_mismatches() -> list:
     """The `SPLIT_CASES` whose round on a 4x200 net gives other bytes split
-    over two threads than whole, or did not run as asked.  Run with BLAS
-    pinned (`_pinned`)."""
+    over two threads than whole, or did not run as asked: on a float64
+    kernel, and on the float32 kernel a search builds.  Run with BLAS pinned
+    (`_pinned`)."""
     model = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
     d = model.d
     rng = np.random.default_rng(4)
@@ -700,13 +745,19 @@ def split_round_mismatches() -> list:
                                      mutable)
         lam = (10.0 ** -rng.integers(0, 4, n) if kind == "dice"
                else 2.0 ** rng.integers(0, 12, n))
-        loss = _on_net(model, CfObjective(kind, k=k), mad, mutable, proto_pool)
-        args = (loss, queries, starts, lam, budget)
-        whole, whole_threads = _round_on(1, args)
-        split, split_threads = _round_on(2, args)
-        same = all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
-        if not (same and whole_threads == [True] and sorted(split_threads) == [False, True]):
-            bad.append([kind, n, masked, init, same, whole_threads, split_threads])
+        mask = tuple(mutable.tolist()) if masked else None
+        losses = (_on_net(model, CfObjective(kind, k=k), mad, mutable, proto_pool),
+                  _search_objective(model, CfObjective(kind, k=k, feature_mask=mask), mad, pool))
+        assert losses[1].dtype == np.float32
+        for loss in losses:
+            args = (loss, queries, starts, lam, budget)
+            whole, whole_threads = _round_on(1, args)
+            split, split_threads = _round_on(2, args)
+            same = all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
+            if not (same and whole_threads == [True] and sorted(split_threads) == [False, True]
+                    and whole[0].dtype == np.float64):
+                bad.append([kind, n, masked, init, str(loss.dtype), same, whole_threads,
+                            split_threads])
     return bad
 
 
@@ -802,6 +853,37 @@ class TestValidityContract:
             for r in batch.results:
                 if r.valid:
                     assert baseline_small.forward(r.x_cf) > 0.5
+
+
+@pytest.fixture(scope="module")
+def full_scale(tmp_path_factory):
+    """An untrained 4x200 net on 99 features, and the five rows it rejects
+    most narrowly (a trained one rejects every row with p < 0.001)."""
+    ds = csv_dataset(tmp_path_factory.mktemp("full"), d=99, seed=8)
+    net = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=1)
+    p = np.asarray(net.forward(ds.features))
+    p[p > 0.5] = -1.0
+    return ds, net, ds.features[np.argsort(-p)[:5]]
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_full_scale_search_checks_in_float64(full_scale, kind):
+    """A float32 descent hands back float64 points that the model itself
+    accepts, costed in float64, with every frozen feature exactly the
+    query's."""
+    ds, net, X = full_scale
+    assert explainers._search_dtype(net) == np.float32 and len(X) == 5
+    mask = np.arange(ds.d) % 4 > 0
+    init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
+    refs = X + 0.25
+    results = batch_explain(net, X, CfObjective(kind, feature_mask=tuple(mask.tolist())), ds,
+                            init, SearchBudget(steps=30), cost_reference=refs).results
+    assert all(r.found for r in results)
+    for x, ref, r in zip(X, refs, results):
+        assert r.x_cf.dtype == np.float64
+        assert net.forward(r.x_cf) > 0.5
+        assert r.cost == dist_wachter(ref, r.x_cf, ds.mad)
+        assert np.array_equal(r.x_cf[~mask], x[~mask])
 
 
 class TestBatchExplain:

@@ -6,7 +6,7 @@ import pytest
 import recourselab as rl
 from recourselab.data import DataError
 from recourselab.model import (
-    BCE_CLIP, PROB_CLIP, AdamState, MlpClassifier, TrainingDiverged, Workspace, accuracy,
+    BCE_CLIP, PROB_CLIP, AdamState, FrozenNet, MlpClassifier, TrainingDiverged, Workspace, accuracy,
     adam_step, load_model, save_model, sigmoid, train_baseline,
 )
 
@@ -174,6 +174,26 @@ class TestGradInput:
             dn = x.copy(); dn[i] -= h
             fd[i] = (net.logits(up) - net.logits(dn)) / (2 * h)
         assert rel_err(g, fd) < 1e-6
+
+
+class TestFrozenNet:
+    def test_float32_holds_nothing_in_float64(self):
+        net = MlpClassifier([5, 7, 6, 1], seed=1)
+        frozen = FrozenNet(net, np.float32)
+        arrays = frozen.weights + frozen.biases + frozen._back + [frozen._first]
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert not any(np.shares_memory(a, w) for a in arrays for w in net.weights + net.biases)
+        X = np.random.default_rng(2).normal(size=(9, 5))
+        g, p, z = frozen.grad_input_full(X.astype(np.float32), "logit")
+        assert g.dtype == p.dtype == z.dtype == np.float32
+        g64 = net.grad_input_full(X, wrt="logit")[0]
+        assert np.allclose(g, g64, rtol=1e-4, atol=1e-6)
+
+    def test_float64_keeps_the_net_arrays(self):
+        net = MlpClassifier([5, 7, 1], seed=1)
+        frozen = FrozenNet(net)
+        assert all(a is b for a, b in zip(frozen.weights + frozen.biases,
+                                           net.weights + net.biases))
 
 
 class TestRandomizedGradientSuite:
@@ -375,9 +395,18 @@ class TestInPlaceKernelsBitIdentical:
             assert not any(np.shares_memory(a, buf) for a in params for buf in buffers)
 
     def test_adam_steps(self):
+        self._check_adam_steps(np.float64)
+
+    def test_adam_steps_keep_float32(self):
+        self._check_adam_steps(np.float32)
+
+    @staticmethod
+    def _check_adam_steps(dtype):
+        # the textbook formulas in the parameters' precision, to the bit; the
+        # float64 gradient is taken in that precision
         rng = np.random.default_rng(6)
         state, ref = AdamState(lr=0.05), AdamState(lr=0.05)
-        params = rng.normal(size=(12, 3, 2))
+        params = rng.normal(size=(12, 3, 2)).astype(dtype)
         ref_params = params.copy()
         for _ in range(6):
             grad = rng.normal(size=params.shape) * rng.choice([1e-6, 1.0, 1e3])
@@ -388,6 +417,7 @@ class TestInPlaceKernelsBitIdentical:
             if ref.m is None:
                 ref.m, ref.v = np.zeros_like(ref_params), np.zeros_like(ref_params)
             ref.step += 1
+            grad = grad.astype(dtype)
             ref.m = ref.beta1 * ref.m + (1.0 - ref.beta1) * grad
             ref.v = ref.beta2 * ref.v + (1.0 - ref.beta2) * grad ** 2
             m_hat = ref.m / (1.0 - ref.beta1 ** ref.step)
@@ -395,6 +425,7 @@ class TestInPlaceKernelsBitIdentical:
             ref_params = ref_params - ref.lr * m_hat / (np.sqrt(v_hat) + ref.eps)
             assert np.array_equal(new, ref_params)
             assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+            assert new.dtype == state.m.dtype == state.v.dtype == dtype
             params = new
 
 
