@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explainers
-from .data import DataError, Dataset
+from .data import DataError, Dataset, checked_delta
 from .explainers import CfObjective, Initializer, SearchBudget
 from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, Workspace,
                     adam_step, load_model, save_model)
@@ -259,10 +259,11 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
     counterfactual is chained through the implicit step.  Failed searches
     contribute a zero gradient; queries the model already accepts have
     exactly zero sensitivity (the search returns the query itself, whose cost
-    does not involve the parameters).
+    does not involve the parameters).  A δ that is not one finite value per
+    feature raises a DataError starting "delta:".
     """
     x = np.asarray(x, dtype=float)
-    query = x if delta is None else x + np.asarray(delta, dtype=float)
+    query = x if delta is None else x + checked_delta(delta, dataset.d)
     term, = _search_terms(model, [(x[None, :], query[None, :])], objective, dataset,
                           initializer, budget)
     result = term.results[0]
@@ -488,10 +489,11 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     conditions drawing their starts as separate searches would, descends on
     bce + E[np perturbed cost] + (clean disparity)^2, and keeps the best
     iterate that satisfies the perturbed-cheaper-than-protected constraint.
-    The perturbation is never modified here.
+    The perturbation is never modified here; one that is not one finite
+    value per feature raises a DataError starting "delta:".
     """
+    delta = checked_delta(delta, dataset.d)
     net = model.clone()
-    delta = np.asarray(delta, dtype=float)
     X = dataset.train_features
     y = dataset.train_labels
 

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import explainers
-from .data import DataError, Dataset
+from .data import Dataset, checked_delta
 from .explainers import CfObjective, CfResult, Initializer, SearchBudget
 from .model import MlpClassifier, accuracy
 
@@ -157,7 +157,7 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
     once.  A δ that is not one finite value per feature raises a DataError
     (a ValueError) starting "delta:".  Inputs are never mutated.
     """
-    dvec = np.zeros(dataset.d) if delta is None else _checked_delta(delta, dataset.d)
+    dvec = np.zeros(dataset.d) if delta is None else checked_delta(delta, dataset.d)
     slices = dataset.group_slices(model, split="test")
     pr = dataset.features[slices["protected-neg"].indices]
     np_ = dataset.features[slices["nonprotected-neg"].indices]
@@ -201,16 +201,6 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
         return AuditDetails(report=report,
                             results={name: run.results for name, run in runs.items()})
     return report
-
-
-def _checked_delta(delta, d: int) -> np.ndarray:
-    dvec = np.asarray(delta, dtype=float)
-    if dvec.shape != (d,):
-        raise DataError(f"delta: expected shape ({d},), one value per feature, "
-                        f"got shape {dvec.shape}")
-    if not np.isfinite(dvec).all():
-        raise DataError("delta: must be finite")
-    return dvec
 
 
 def _mean_or_nan(values) -> float:

@@ -29,6 +29,18 @@ class SchemaError(ValueError):
     """Raised when the data does not match the declared schema."""
 
 
+def checked_delta(delta, d: int) -> np.ndarray:
+    """A perturbation as a float vector of one finite value per feature; a
+    DataError starting "delta:" for anything else, a scalar included."""
+    dvec = np.asarray(delta, dtype=float)
+    if dvec.shape != (d,):
+        raise DataError(f"delta: expected shape ({d},), one value per feature, "
+                        f"got shape {dvec.shape}")
+    if not np.isfinite(dvec).all():
+        raise DataError("delta: must be finite")
+    return dvec
+
+
 def compute_mad_raw(column) -> float:
     """Median absolute deviation from the median, without the zero guard."""
     col = np.asarray(column, dtype=float)

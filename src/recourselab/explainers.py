@@ -9,8 +9,8 @@ first level that succeeds.  How many rows a round aims for follows from what
 a row costs, read from the model's layer sizes (see `_row_target`).  The
 engine reads an objective through one `_Objective` per search, which holds
 the model's `model.FrozenNet`, so each row's bits are independent of its
-batch: a round big enough to keep two CPUs busy runs its rows as two halves
-on two threads, with the bits of the whole round (see `_run_attempt`).  The
+batch: however a search's rows are grouped into rounds, each result keeps its
+bytes.  An attempt is one descent on the calling thread.  The
 adversary's implicit step reads the objective through the same object, one
 per hypergradient batch, and never branches on its kind.  One batch can
 carry several searches as segments of rows, each with its own cost
@@ -34,12 +34,12 @@ differences would drown in float32 rounding.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .data import checked_delta
 from .model import AdamState, FrozenNet, _row_matmul, adam_step
 
 OBJECTIVE_KINDS = ("wachter", "sparse-wachter", "prototypes", "dice")
@@ -58,11 +58,6 @@ SEARCH_ROWS = 96
 # in a 90-row round and 26.6 µs in an 18-row one.  `_row_target` gives the
 # first 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
-
-# Multiply-adds per descent step from which a round's rows run as two halves
-# on two threads (`_run_attempt`): a 4x200 net's rounds from 60 rows, so
-# every full-scale round; never a 32x32 net's (468 rows are 0.5M).
-SPLIT_MACS = 1 << 23
 
 # Weights (one row's multiply-adds) from which a search descends in float32
 # (`_search_dtype`).  One descent step (wachter gradient plus Adam) on 96
@@ -255,9 +250,8 @@ class _Objective:
     the model's `FrozenNet`, the live model (for parameter gradients and the
     search's acceptance forward), the MAD, the checked feature mask and, for
     prototypes, `_prototype_pool`'s triple; the net, MAD and pool in the
-    kernel's precision, `dtype`.  Built once per `_search_many` call (both
-    threads of a split round share it) and once per hypergradient batch or
-    dense Jacobian."""
+    kernel's precision, `dtype`.  Built once per `_search_many` call and once
+    per hypergradient batch or dense Jacobian."""
 
     spec: CfObjective
     model: object
@@ -430,34 +424,10 @@ def _random_starts(initializer, base, dataset):
 
 def _run_attempt(loss, queries, starts, lam, budget):
     """One escalation attempt per row on the search's `_Objective`:
-    `budget.steps` Adam steps from `starts`, then the sparsity snap.
-    Returns (candidates (n, k, d), probabilities (n, k)).
-
-    Rows are independent, to the bit, so a round whose steps carry at least
-    `SPLIT_MACS` multiply-adds runs as two halves when a CPU is spare
-    (`_spare_cpu`): the second half on a worker thread, since numpy releases
-    the interpreter lock inside BLAS.
-    """
-    n, k, _ = starts.shape
-    cut = n // 2
-    if cut == 0 or n * k * _weight_count(loss.net) < SPLIT_MACS or not _spare_cpu():
-        return _descend(loss, queries, starts, lam, budget)
-    # imported here: the package (logging with it) adds 0.6 MB to every
-    # process, and only a split round needs it
-    from concurrent.futures import ThreadPoolExecutor
-
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        second = worker.submit(_descend, loss, queries[cut:], starts[cut:], lam[cut:], budget)
-        first = _descend(loss, queries[:cut], starts[:cut], lam[:cut], budget)
-        rest = second.result()
-    return np.concatenate([first[0], rest[0]]), np.concatenate([first[1], rest[1]])
-
-
-def _descend(loss, queries, starts, lam, budget):
-    """`_run_attempt` on one set of rows, in the calling thread: the descent
-    in the kernel's precision, then the candidates in float64, their frozen
-    features exactly the starts', checked by the model itself."""
+    `budget.steps` Adam steps from `starts` in the kernel's precision, then
+    the candidates in float64, their frozen features exactly the starts',
+    checked by the model itself, then the sparsity snap.
+    Returns (candidates (n, k, d), probabilities (n, k))."""
     n, k, d = starts.shape
     Q = queries.astype(loss.dtype, copy=False)
     C = starts.astype(loss.dtype, copy=False)
@@ -474,25 +444,6 @@ def _descend(loss, queries, starts, lam, budget):
         C[:, :, frozen] = starts[:, :, frozen]
     probs = loss.model.forward(C.reshape(n * k, d)).reshape(n, k)
     return _snap_to_query(loss, queries, C, probs, budget)
-
-
-def _spare_cpu() -> bool:
-    """Whether a worker thread would find a CPU idle: at least two are usable
-    and the environment pins BLAS to one thread.  A threaded BLAS already
-    runs on the other CPUs, and beside it a split full-scale round ran about
-    1.8x slower than an unsplit one.
-    With a threaded BLAS a row's bits also depend on its batch, since BLAS
-    divides a product's rows among its threads."""
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    return blas_threads == "1" and _usable_cpus() >= 2
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:    # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _snap_to_query(loss, queries, C, probs, budget):
@@ -718,10 +669,11 @@ def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,
     """l2 distance between the counterfactuals found at x and at x + delta.
 
     Reported as an observable: small for well-behaved models, large when a
-    perturbation reroutes the search to a different minimum.
+    perturbation reroutes the search to a different minimum.  A δ that is
+    not one finite value per feature raises a DataError starting "delta:".
     """
     x = np.asarray(x, dtype=float)
-    base, moved = batch_explain(model, [x, x + np.asarray(delta, dtype=float)], objective,
+    base, moved = batch_explain(model, [x, x + checked_delta(delta, dataset.d)], objective,
                                 dataset, initializer, budget, cost_reference=[x, x],
                                 segments=(1, 1)).results
     if not (base.found and moved.found):

@@ -49,8 +49,9 @@ padding, 509 of 582 cut checks of a 98-row float32 batch on a 4x200 net
 moved bits.  A `FrozenNet` holds the copies, in float64 or, for a search on
 a big net (see `explainers`), in float32, and
 `MlpClassifier.grad_input_full` builds one per call.  Packing a 4x200 net
-costs 0.4-0.7 ms, more than half of a 45-row kernel call, so a search
-builds one and keeps it through every step, as does a hypergradient batch.
+costs 0.4-0.7 ms, more than half of a 96-row float32 descent step (about
+0.8 ms), so a search builds one and keeps it through every step, as does a
+hypergradient batch.
 No `MlpClassifier` keeps one: its weights may be rewritten in place, and
 the copies would go stale.  The trainers sum their rows, so they need no
 rule: their backward products, phase one's input gradients among them,
@@ -242,7 +243,7 @@ class FrozenNet:
     transposes, the first zero-padded to a multiple of 8 columns.  A write
     into the net's arrays after it was built would reach the net's own
     arrays but not the copies, so build one when the weights are final and
-    drop it when they change.  It writes nothing, so threads may share one.
+    drop it when they change.  It writes nothing.
     """
 
     def __init__(self, net: "MlpClassifier", dtype=np.float64):

@@ -196,12 +196,13 @@ class TestRunAudit:
         assert len(details.results["protected"]) == n_pr
 
     @pytest.mark.parametrize("delta, reason", [
+        (0.3, r"expected shape \(2,\).*got shape \(\)"),
         ([0.5], r"expected shape \(2,\).*got shape \(1,\)"),
         ([0.1, 0.2, 0.3], r"got shape \(3,\)"),
         ([[0.1, 0.2]], r"got shape \(1, 2\)"),
         ([float("nan"), 0.0], "must be finite"),
         ([0.0, -float("inf")], "must be finite")],
-        ids=["one", "three", "row", "nan", "inf"])
+        ids=["scalar", "one", "three", "row", "nan", "inf"])
     def test_malformed_delta_rejected_before_search(self, synth_small, baseline_small,
                                                     monkeypatch, delta, reason):
         def no_search(*args, **kwargs):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import recourselab as rl
+from recourselab import explainers
+from recourselab.adversary import Phase2Config, counterfactual_term_grad, phase2_fit
 from recourselab.data import (
     CsvSchema, DataError, SchemaError, compute_mad, compute_mad_raw, load_csv,
     make_synthetic, mad_vector, split,
 )
+from recourselab.explainers import CfObjective, sensitivity_probe
 
 
 class TestMad:
@@ -210,3 +213,34 @@ def test_dataset_csv_snapshot(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[0]) == ds.features[0, 0]
     assert cells[4] in ("train", "test")
+
+
+BAD_DELTAS = {"scalar": (0.3, r"got shape \(\)"),
+              "one-value": (np.array([0.3]), r"got shape \(1,\)"),
+              "three-values": ([0.1, 0.2, 0.3], r"got shape \(3,\)"),
+              "nan": ([float("nan"), 0.0], "must be finite")}
+
+# The entry points besides `run_audit` (checked in test_audit.py) that take
+# a δ, called on the 2-feature data with one.
+DELTA_ENTRY_POINTS = {
+    "phase2_fit": lambda net, ds, delta: phase2_fit(
+        net, delta, ds, Phase2Config(objective=CfObjective("wachter"), steps=1)),
+    "counterfactual_term_grad": lambda net, ds, delta: counterfactual_term_grad(
+        net, ds.features[0], delta, CfObjective("wachter"), ds),
+    "sensitivity_probe": lambda net, ds, delta: sensitivity_probe(
+        net, ds.features[0], delta, CfObjective("wachter"), ds),
+}
+
+
+class TestCheckedDelta:
+    @pytest.mark.parametrize("bad", BAD_DELTAS)
+    @pytest.mark.parametrize("entry", DELTA_ENTRY_POINTS)
+    def test_every_entry_point_refuses_before_search(self, monkeypatch, synth_small,
+                                                     baseline_small, entry, bad):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with a malformed delta")
+
+        monkeypatch.setattr(explainers, "_search_many", no_search)
+        delta, reason = BAD_DELTAS[bad]
+        with pytest.raises(DataError, match=f"^delta: .*{reason}"):
+            DELTA_ENTRY_POINTS[entry](baseline_small, synth_small, delta)

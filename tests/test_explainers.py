@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -611,44 +610,6 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
 
 PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# (objective, query rows, feature mask, starts): odd and even row counts
-# across 40-200; one dice case runs k = 4 candidates a row
-SPLIT_CASES = [("wachter", 40, False, "origin"), ("wachter", 61, True, "gaussian-jitter"),
-               ("sparse-wachter", 94, False, "gaussian-jitter"),
-               ("prototypes", 107, True, "origin"), ("prototypes", 152, False, "gaussian-jitter"),
-               ("dice", 45, False, "gaussian-jitter"), ("dice", 50, True, "origin"),
-               ("wachter", 199, False, "gaussian-jitter")]
-
-
-def _raise_if_called(*args, **kwargs):
-    raise AssertionError("a worker thread was started")
-
-
-def _attempt_halves(monkeypatch, *args) -> tuple:
-    """`_run_attempt(*args)`, and for each `_descend` call it made whether
-    that ran on the main thread."""
-    threads = []
-    descend = explainers._descend
-
-    def recording(*a):
-        threads.append(threading.current_thread() is threading.main_thread())
-        return descend(*a)
-
-    monkeypatch.setattr(explainers, "_descend", recording)
-    return explainers._run_attempt(*args), threads
-
-
-def _round_on(cpus: int, args) -> tuple:
-    """`_attempt_halves` with `cpus` usable CPUs and every round big enough
-    to split; with one CPU, starting a worker thread fails."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(explainers, "_usable_cpus", lambda: cpus)
-        m.setattr(explainers, "SPLIT_MACS", 0)
-        if cpus == 1:
-            m.setattr(concurrent.futures, "ThreadPoolExecutor", _raise_if_called)
-        return _attempt_halves(m, *args)
-
-
 def _pinned(function: str):
     """`function()` of this module, run in a fresh interpreter with BLAS
     pinned to one thread, since BLAS reads its thread count once, at load:
@@ -724,112 +685,6 @@ def test_each_row_independent_of_its_batch():
     assert _pinned("row_cut_mismatches") == []
 
 
-def split_round_mismatches() -> list:
-    """The `SPLIT_CASES` whose round on a 4x200 net gives other bytes split
-    over two threads than whole, or did not run as asked: on a float64
-    kernel, and on the float32 kernel a search builds.  Run with BLAS pinned
-    (`_pinned`)."""
-    model = rl.MlpClassifier(FULL_SCALE_LAYERS, seed=0)
-    d = model.d
-    rng = np.random.default_rng(4)
-    mad = rng.uniform(0.5, 2.0, d)
-    pool = rng.normal(size=(40, d))
-    proto_pool = (pool, np.ascontiguousarray(pool.T), (pool ** 2).sum(axis=1))
-    budget = SearchBudget(steps=3)
-    bad = []
-    for kind, n, masked, init in SPLIT_CASES:
-        k = 4 if kind == "dice" else 1
-        mutable = np.arange(d) % 3 > 0 if masked else np.ones(d, dtype=bool)
-        queries = rng.normal(size=(n, d))
-        starts = _initial_candidates(Initializer(init, seed=1), queries, k, model, None,
-                                     mutable)
-        lam = (10.0 ** -rng.integers(0, 4, n) if kind == "dice"
-               else 2.0 ** rng.integers(0, 12, n))
-        mask = tuple(mutable.tolist()) if masked else None
-        losses = (_on_net(model, CfObjective(kind, k=k), mad, mutable, proto_pool),
-                  _search_objective(model, CfObjective(kind, k=k, feature_mask=mask), mad, pool))
-        assert losses[1].dtype == np.float32
-        for loss in losses:
-            args = (loss, queries, starts, lam, budget)
-            whole, whole_threads = _round_on(1, args)
-            split, split_threads = _round_on(2, args)
-            same = all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
-            if not (same and whole_threads == [True] and sorted(split_threads) == [False, True]
-                    and whole[0].dtype == np.float64):
-                bad.append([kind, n, masked, init, str(loss.dtype), same, whole_threads,
-                            split_threads])
-    return bad
-
-
-class TestSplitRounds:
-    """A big round runs its rows as two halves, the second on a worker
-    thread, with the bits of the whole round."""
-
-    def test_split_round_keeps_the_bits(self):
-        assert _pinned("split_round_mismatches") == []
-
-    @pytest.mark.parametrize("layers, rows, k, splits", [
-        (FULL_SCALE_LAYERS, 96, 1, True),      # a full-scale round
-        (FULL_SCALE_LAYERS, 60, 1, True),      # 60 x 140,000 >= 2^23
-        (FULL_SCALE_LAYERS, 59, 1, False),
-        (FULL_SCALE_LAYERS, 15, 4, True),      # dice counts its k candidates
-        ([2, 32, 32, 1], 468, 1, False),       # the desk net's widest round
-        ([2, 32, 32, 1], 117, 4, False),
-    ])
-    def test_split_rule(self, monkeypatch, layers, rows, k, splits):
-        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
-        net = rl.MlpClassifier(layers, seed=0)
-        queries = np.zeros((rows, net.d))
-        loss = _on_net(net, CfObjective("dice" if k > 1 else "wachter", k=k), np.ones(net.d))
-        args = (loss, queries, np.repeat(queries[:, None], k, axis=1), np.ones(rows),
-                SearchBudget(steps=1))
-        (cands, probs), threads = _attempt_halves(monkeypatch, *args)
-        assert len(threads) == (2 if splits else 1)
-        assert cands.shape == (rows, k, net.d) and probs.shape == (rows, k)
-
-    @pytest.mark.parametrize("blas, cpus, spare", [
-        ("1", 2, True), ("1", 1, False), ("2", 2, False), (None, 2, False)])
-    def test_spare_cpu_needs_two_cpus_and_one_blas_thread(self, monkeypatch, blas, cpus,
-                                                         spare):
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        if blas is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        monkeypatch.setattr(explainers, "_usable_cpus", lambda: cpus)
-        assert explainers._spare_cpu() is spare
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, synth_small,
-                                                 baseline_small):
-        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
-        monkeypatch.setattr(explainers, "SPLIT_MACS", 0)
-        descend = explainers._descend
-
-        def failing_off_main(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker half")
-            return descend(*args)
-
-        monkeypatch.setattr(explainers, "_descend", failing_off_main)
-        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="worker half"):
-            batch_explain(baseline_small, X, CfObjective("wachter"), synth_small,
-                          budget=SearchBudget(steps=5))
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("kind", ["wachter", "dice"])
-    def test_desk_audit_starts_no_thread(self, monkeypatch, desk_audit, kind):
-        ds, net, _ = desk_audit
-        monkeypatch.setattr(explainers, "_spare_cpu", lambda: True)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _raise_if_called)
-        init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
-        report = rl.audit.run_audit(net, ds, CfObjective(kind), delta=np.array([0.3, -0.2]),
-                                    initializer=init, budget=SearchBudget(steps=50),
-                                    lof=False)
-        assert sum(report.not_found.values()) < sum(report.n_queries.values())
-
-
 def test_dice_lam1_below_floor_rejected(synth_small, baseline_small):
     # below the floor no escalation level would be left to run
     with pytest.raises(ValueError, match="^lam1: "):
@@ -885,6 +740,24 @@ def test_full_scale_search_checks_in_float64(full_scale, kind):
         assert r.cost == dist_wachter(ref, r.x_cf, ds.mad)
         assert np.array_equal(r.x_cf[~mask], x[~mask])
 
+
+
+def test_full_scale_search_starts_no_thread(monkeypatch, full_scale):
+    """A search on the 4x200 net runs every round on the calling thread, also
+    with BLAS pinned to one thread and two CPUs usable."""
+    ds, net, X = full_scale
+    for name, value in PINNED_BLAS.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def refuse(thread):
+        raise AssertionError(f"a search started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    results = batch_explain(net, X, CfObjective("wachter"), ds,
+                            budget=SearchBudget(steps=5)).results
+    assert len(results) == len(X)
 
 class TestBatchExplain:
     def test_empty_points(self, synth_small, baseline_small):
