@@ -4,21 +4,26 @@ Four objectives share one batched descent engine: a validity term pushing the
 model output past 0.5 plus a distance term.  An attempt is a fixed number of
 Adam steps on the objective's gradient; the weight on the validity term
 escalates geometrically whenever an attempt ends invalid.  Spare batch rows
-run a query's next escalation levels speculatively; each query keeps the
-first level that succeeds.  How many rows a round aims for follows from what
-a row costs, read from the model's layer sizes (see `_row_target`).  The
-engine reads an objective through one `_Objective` per search, which holds
-the model's `model.FrozenNet`, so each row's bits are independent of its
-batch: however a search's rows are grouped into rounds, each result keeps its
-bytes.  An attempt is one descent on the calling thread.  The
-adversary's implicit step reads the objective through the same object, one
-per hypergradient batch, and never branches on its kind.  One batch can
-carry several searches as segments of rows, each with its own cost
-reference per row and its own initializer draws: an audit and a phase-2
-evaluation search their three conditions (protected, non-protected,
-non-protected + δ) in one call.  A segment whose queries and references
-repeat an earlier segment's bytes is searched once: with δ = 0 the third
-condition gets copies of the second's results.
+run a query's next escalation levels speculatively; each query keeps the first
+level that succeeds.  Under any objective but dice, a query that starts at
+itself first runs every level up to one past its escape level, the first at
+which the objective's gradient at the query beats its l1 weight
+(`_Objective.escape_levels`): failed attempts end near their query, so that
+level predicts the first success.  Every other round gives each pending query
+an equal share of the rows a round aims for, which follows from what a row
+costs, read from the model's layer sizes (see `_row_target`); `_round_rows`
+bounds a round.  The engine reads an objective through one `_Objective` per
+search, which holds the model's `model.FrozenNet`, so each row's bits are
+independent of its batch: however a search's rows are grouped into rounds,
+each result keeps its bytes.  An attempt is one descent on the calling thread.
+The adversary's implicit step reads the objective through the same object, one
+per hypergradient batch, and never branches on its kind.  One batch can carry
+several searches as segments of rows, each with its own cost reference per row
+and its own initializer draws: an audit and a phase-2 evaluation search their
+three conditions (protected, non-protected, non-protected + δ) in one call.  A
+segment whose queries and references repeat an earlier segment's bytes is
+searched once: with δ = 0 the third condition gets copies of the second's
+results.
 
 Precision rule.  On a net of at least `FLOAT32_WEIGHTS` weights, where a
 descent step is bound by FLOPs, a search's `_Objective` holds a float32
@@ -48,16 +53,26 @@ INITIALIZER_KINDS = ("origin", "random-uniform", "positive-mean", "gaussian-jitt
 RESULT_CSV_HEADER = ("index", "valid", "cost", "iterations", "lam", "initializer", "optimizer")
 
 # The fewest rows one batched attempt aims to carry when speculating on λ
-# levels, and about the number that keeps a 4x200 net's descent step busy.
+# levels, and about the number from which a 4x200 net's float32 descent step
+# costs the same per row (see `ROUND_MACS`).
 SEARCH_ROWS = 96
 
 # Multiply-adds that cost about as much as one descent step's fixed per-call
 # overhead.  On a 2-vCPU machine with one BLAS thread, a kernel call on a
 # 32x32 net (1,120 weights) took 77 µs for 1 row, 136 µs for 96 and 306 µs
-# for 384, while a row of a 4x200 net (140,000 weights) cost about 19.5 µs
-# in a 90-row round and 26.6 µs in an 18-row one.  `_row_target` gives the
-# first 468 rows and the second `SEARCH_ROWS`.
+# for 384, while a float32 step on a 4x200 net (140,000 weights) cost about
+# 8.3 µs a row at 96 rows and 21.8 µs at 18.  `_row_target` gives the first
+# 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
+
+# Multiply-adds one descent step of a round may carry (`_round_rows`): 239
+# rows of a 4x200 net, 29,959 of a 32x32 desk net.  On the 2-vCPU machine
+# above, a float32 step on the 4x200 net (wachter gradient plus Adam) cost
+# 7.9-9.3 µs a row from 96 to 480 rows and 9.5-12.2 µs at 960.  Only a
+# round planned from escape levels (`_Objective.escape_levels`) comes near
+# it: unbounded, a full-scale audit's first round would carry every pending
+# query's levels up to its prediction, about 12 times a uniform round.
+ROUND_MACS = 1 << 25
 
 # Weights (one row's multiply-adds) from which a search descends in float32
 # (`_search_dtype`).  One descent step (wachter gradient plus Adam) on 96
@@ -335,6 +350,33 @@ class _Objective:
         grad += gdist
         return grad
 
+    def escape_levels(self, queries, starts) -> np.ndarray | None:
+        """For each query, the index of the first escalation level at which
+        the search would leave the query: where |λ·2(p−1)∇p + b| at the
+        query beats the l1 weight (1/mad, 1 or β) in some mutable
+        coordinate, b being the λ-free smooth pull there (prototypes:
+        2(q − nearest prototype), else 0).  A query that no level moves
+        gets the last level's index.  Failed attempts end near their query,
+        so this predicts the first level that succeeds.  One kernel call;
+        None for dice and unless every start is its query."""
+        if self.spec.kind == "dice" or not np.array_equal(starts[:, 0], queries):
+            return None
+        Q = queries.astype(self.dtype, copy=False)
+        grad, probs, _ = self.net.grad_input_full(Q, wrt="prob")
+        grad *= (2.0 * (probs - 1.0))[:, None]
+        pull = 0.0
+        if self.spec.kind == "wachter":
+            weight = 1.0 / self.mad
+        elif self.spec.kind == "sparse-wachter":
+            weight = 1.0
+        else:
+            weight = self.spec.beta
+            pull = 2.0 * (Q - _nearest_prototypes(Q, self.pool))
+        lams = np.asarray(_lam_schedule(self.spec), dtype=self.dtype)
+        beats = np.abs(lams[:, None, None] * grad + pull) > weight      # (levels, n, d)
+        escaped = beats[:, :, self.mutable].any(axis=2)
+        return np.where(escaped.any(axis=0), escaped.argmax(axis=0), len(lams) - 1)
+
     def grad_x_rows(self, query, points, lam, candidates=None, candidate_index=None):
         """Candidate gradients at each row of `points`, shape (n, d), in one
         kernel call.  Each row stands in for the selected candidate (dice:
@@ -480,9 +522,17 @@ def _lam_schedule(objective):
 def _row_target(model) -> int:
     """Rows a speculative round aims for: enough that a descent step's
     multiply-adds match its fixed per-call overhead, and at least
-    `SEARCH_ROWS`.  It reads only the layer sizes, never a clock, so the
+    `SEARCH_ROWS`.  Each pending query gets an equal share, except in a
+    first round planned from escape levels, which may carry more, up to
+    `_round_rows`.  It reads only the layer sizes, never a clock, so the
     schedule is the same on every run."""
     return max(SEARCH_ROWS, STEP_MACS // _weight_count(model))
+
+
+def _round_rows(model) -> int:
+    """The most rows one round carries: `ROUND_MACS` multiply-adds a step,
+    and at least one row."""
+    return max(1, ROUND_MACS // _weight_count(model))
 
 
 def _search_dtype(model) -> np.dtype:
@@ -533,23 +583,36 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     last_outcome: dict[int, tuple] = {}
 
     # Rounds of speculative escalation: each pending query gets its next
-    # `width` schedule levels as extra rows of one batched attempt, and keeps
-    # the first level that succeeds.  Attempts are independent restarts from
-    # the same start, so the outcome is the sequential schedule's.
+    # schedule levels as extra rows of one batched attempt, and keeps the
+    # first level that succeeds.  Attempts are independent restarts from the
+    # same start, so the outcome is the sequential schedule's.  Each pending
+    # query's width is the uniform `row_target // (pending * k)` levels, or
+    # in its first round L + 2 when that is more, L being its escape level
+    # (`_Objective.escape_levels`).  A round takes pending queries whole, in
+    # order, up to `_round_rows` rows.
     row_target = _row_target(model)
-    level = 0
-    while pending and level < len(schedule):
-        width = min(len(schedule) - level,
-                    max(1, row_target // (len(pending) * k)))
-        lams = schedule[level:level + width]
-        sub = np.array(pending)
-        rows = np.repeat(sub, width)
-        cands, probs = _run_attempt(loss, queries[rows], starts[rows],
-                                    np.tile(lams, len(sub)), budget)
-        still = []
-        for q, i in enumerate(sub):
-            for j, lam in enumerate(lams):
-                r = q * width + j
+    max_rows = _round_rows(model)
+    level = dict.fromkeys(pending, 0)
+    escape = loss.escape_levels(queries[pending], starts[pending]) if pending else None
+    planned = {} if escape is None else {i: int(e) + 2 for i, e in zip(pending, escape)}
+    while pending:
+        uniform = max(1, row_target // (len(pending) * k))
+        batch, total = [], 0
+        for i in pending:
+            width = min(len(schedule) - level[i], max(planned.get(i, 0), uniform),
+                        max(1, max_rows // k))
+            if batch and total + width * k > max_rows:
+                break
+            batch.append((i, width))
+            total += width * k
+            planned.pop(i, None)
+        lams = [lam for i, width in batch for lam in schedule[level[i]:level[i] + width]]
+        rows = np.repeat([i for i, _ in batch], [width for _, width in batch])
+        cands, probs = _run_attempt(loss, queries[rows], starts[rows], np.array(lams), budget)
+        first = 0
+        for i, width in batch:
+            for r in range(first, first + width):
+                lam = lams[r]
                 attempts_of[i].append(lam)
                 cand = cands[r]
                 valid = probs[r] > 0.5
@@ -560,11 +623,11 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
                     break
             else:
                 last_outcome[i] = (cand, valid, lam)
-                still.append(i)
-        pending = still
-        level += width
+            first += width
+            level[i] += width
+        pending = [i for i in pending if results[i] is None and level[i] < len(schedule)]
 
-    for i in pending:
+    for i in (i for i in range(n) if results[i] is None):
         cand, valid, lam = last_outcome[i]
         if is_dice and valid.any():
             # The escalation floor was reached with a partial candidate set;

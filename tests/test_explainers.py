@@ -426,12 +426,14 @@ def _count_rounds(monkeypatch) -> list:
 
 
 def _sequential(monkeypatch, search, *args, **kwargs):
-    """`search` with one λ level per round: the reference schedule.
+    """`search` with one λ level per round and no escape-level plan: the
+    reference schedule.
 
     Checks that it ran so: as many batched attempts as the longest
     escalation took levels."""
     with monkeypatch.context() as m:
         m.setattr(explainers, "_row_target", lambda model: 1)
+        m.setattr(_Objective, "escape_levels", lambda self, queries, starts: None)
         rounds = _count_rounds(m)
         out = search(*args, **kwargs)
     results = out.results if hasattr(out, "results") else [out]
@@ -758,6 +760,154 @@ def test_full_scale_search_starts_no_thread(monkeypatch, full_scale):
     results = batch_explain(net, X, CfObjective("wachter"), ds,
                             budget=SearchBudget(steps=5)).results
     assert len(results) == len(X)
+
+
+def _escape_by_levels(loss, queries) -> list:
+    """`_Objective.escape_levels` one query and one schedule level at a
+    time: the first level at which the kernel's gradient at the query itself
+    (where every l1 subgradient is 0) beats the l1 weight in a mutable
+    coordinate, or the last level."""
+    weight = {"wachter": 1.0 / loss.mad, "sparse-wachter": 1.0,
+              "prototypes": loss.spec.beta}[loss.spec.kind]
+    schedule = explainers._lam_schedule(loss.spec)
+    levels = []
+    for q in queries.astype(loss.dtype):
+        for j, lam in enumerate(schedule):
+            g = loss.grads(q[None], q[None, None], lam)[0, 0]
+            if (np.abs(g) > weight)[loss.mutable].any():
+                break
+        levels.append(j)
+    return levels
+
+
+def _logistic(w0: float) -> rl.MlpClassifier:
+    """A logistic net on two features that reads only the first."""
+    net = rl.MlpClassifier([2, 1], seed=0)
+    net.set_flat(np.array([w0, 0.0, 0.0]))
+    return net
+
+
+class TestEscapeLevels:
+    """`_Objective.escape_levels` against a loop over the schedule."""
+
+    SQUARED = ("wachter", "sparse-wachter", "prototypes")
+
+    @pytest.mark.parametrize("mask", [None, (True, False), (False, True)])
+    @pytest.mark.parametrize("kind", SQUARED)
+    def test_desk_matches_loop(self, kind, mask, synth_small, baseline_small):
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)]
+        loss = _Objective.of(baseline_small, CfObjective(kind, feature_mask=mask),
+                             synth_small, search=True)
+        assert loss.dtype == np.float64
+        got = loss.escape_levels(X, X[:, None, :])
+        assert got.tolist() == _escape_by_levels(loss, X)
+
+    @pytest.mark.parametrize("kind", SQUARED)
+    def test_full_scale_float32_matches_loop(self, kind, full_scale):
+        ds, net, X = full_scale
+        mask = tuple((np.arange(ds.d) % 4 > 0).tolist())
+        loss = _search_objective(net, CfObjective(kind, feature_mask=mask), ds.mad,
+                                 ds.train_features)
+        assert loss.dtype == np.float32
+        got = loss.escape_levels(X, X[:, None, :])
+        assert got.tolist() == _escape_by_levels(loss, X)
+
+    def test_masked_coordinates_ignored(self):
+        net = _logistic(1.0)
+        X = np.array([[-3.0, 0.0], [-6.0, 1.0]])
+        free = _on_net(net, CfObjective("wachter"), np.ones(2))
+        frozen = _on_net(net, CfObjective("wachter"), np.ones(2), np.array([False, True]))
+        assert free.escape_levels(X, X[:, None, :]).tolist() == _escape_by_levels(free, X)
+        assert max(free.escape_levels(X, X[:, None, :])) < MAX_DOUBLINGS
+        assert frozen.escape_levels(X, X[:, None, :]).tolist() == [MAX_DOUBLINGS] * 2
+
+    def test_query_that_never_escapes_gets_last_level(self, synth_small):
+        net = rl.MlpClassifier([2, 4, 1], seed=0)
+        net.set_flat(np.zeros(net.param_count))
+        X = synth_small.features[:3]
+        for kind in ("wachter", "sparse-wachter"):
+            loss = _Objective.of(net, CfObjective(kind), synth_small, search=True)
+            assert loss.escape_levels(X, X[:, None, :]).tolist() == [MAX_DOUBLINGS] * 3
+
+    def test_prototypes_count_their_pull(self):
+        # positives of the net sit at x0 > 0, so the query at x0 = -3 is
+        # pulled toward a prototype more than 3 away: level 0, while the
+        # push alone escapes only at λ = 16
+        net = _logistic(1.0)
+        X = np.array([[-3.0, 0.0]])
+        train = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0]])
+        levels = {kind: _search_objective(net, CfObjective(kind), np.ones(2), train)
+                  .escape_levels(X, X[:, None, :]).tolist()
+                  for kind in ("sparse-wachter", "prototypes")}
+        assert levels == {"sparse-wachter": [4], "prototypes": [0]}
+
+    def test_dice_and_other_starts_get_no_plan(self, synth_small, baseline_small):
+        X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:6]]
+        dice = _Objective.of(baseline_small, CfObjective("dice", k=1), synth_small)
+        assert dice.escape_levels(X, X[:, None, :]) is None
+        loss = _Objective.of(baseline_small, CfObjective("wachter"), synth_small)
+        assert loss.escape_levels(X, X[:, None, :]) is not None
+        for init in ("random-uniform", "positive-mean", "gaussian-jitter"):
+            starts = _initial_candidates(Initializer(init, seed=1), X, 1, baseline_small,
+                                         synth_small, loss.mutable)
+            assert loss.escape_levels(X, starts) is None, init
+
+
+# Plans forced on every pending query, from the level at which it first
+# succeeds in the reference schedule (`_sequential`).
+FORCED_PLANS = {
+    "too low": lambda first: first - 3,
+    "exact": lambda first: first,
+    "too high": lambda first: first + 4,
+    "mixed": lambda first: first + np.where(np.arange(len(first)) % 2, 3, -2),
+    "past the last level": lambda first: first + 2 * MAX_DOUBLINGS,
+    "empty": lambda first: None,
+}
+
+
+def _assert_plans_keep_results(monkeypatch, args, round_rows=None):
+    """The search `batch_explain(*args)` under each forced plan, every round
+    at most `round_rows` rows when given, has the reference schedule's
+    results to the byte."""
+    want = _sequential(monkeypatch, batch_explain, *args).results
+    first = np.array([len(r.lam_attempts) - 1 for r in want if not r.query_was_valid])
+    assert first.max() > 1
+    for name, plan in FORCED_PLANS.items():
+        with monkeypatch.context() as m:
+            levels = plan(first)
+            m.setattr(_Objective, "escape_levels", lambda self, queries, starts: levels)
+            if round_rows is not None:
+                m.setattr(explainers, "ROUND_MACS", round_rows * explainers._weight_count(args[0]))
+            rounds = _count_rounds(m)
+            got = batch_explain(*args).results
+        _assert_same_results(got, want)
+        if round_rows is not None:
+            assert max(rounds) <= round_rows and len(rounds) > 2, name
+        elif name == "past the last level":
+            assert len(rounds) == 1
+
+
+@pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
+@pytest.mark.parametrize("mask", [None, (True, False)])
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_plans_never_change_results(kind, mask, init, monkeypatch, synth_small,
+                                    baseline_small):
+    X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
+    args = (baseline_small, X, CfObjective(kind, k=2, feature_mask=mask), synth_small,
+            Initializer(init, seed=1), SearchBudget(steps=60))
+    _assert_plans_keep_results(monkeypatch, args)
+    _assert_plans_keep_results(monkeypatch, args, round_rows=5)
+
+
+@pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_full_scale_plans_never_change_results(kind, init, monkeypatch, full_scale):
+    ds, net, X = full_scale
+    mask = tuple((np.arange(ds.d) % 4 > 0).tolist())
+    args = (net, X, CfObjective(kind, k=2, feature_mask=mask), ds, Initializer(init, seed=1),
+            SearchBudget(steps=30))
+    _assert_plans_keep_results(monkeypatch, args, round_rows=7)
+
 
 class TestBatchExplain:
     def test_empty_points(self, synth_small, baseline_small):
