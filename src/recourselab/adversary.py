@@ -150,9 +150,10 @@ def _choose_mode(hessian: np.ndarray) -> tuple[str, float]:
 
 
 def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
-                      dataset: Dataset, *, lam: float | None = None,
+                      dataset: Dataset, *, lam: float,
                       dice_candidates=None, dice_index=None) -> JacobianEstimate:
-    """Differentiate a converged counterfactual with respect to the parameters.
+    """Differentiate a converged counterfactual with respect to the parameters,
+    at the validity weight `lam` it was found at (`CfResult.final_lam`).
 
     The dense d x m matrix, for inspection and as the reference that
     `batch_hypergradient` is checked against; phase two never builds it.
@@ -167,7 +168,6 @@ def implicit_jacobian(model: MlpClassifier, x, objective: CfObjective, x_cf,
     and ExplainError when the objective's mask does not fit the dataset.
     """
     loss = explainers._Objective.of(model, objective, dataset)
-    lam = loss.validity_weight(lam)
     system = _implicit_system(loss, x, x_cf, lam, dice_candidates, dice_index)
     dm = system.free.size
     scale = loss.validity_scale(lam)

@@ -4,12 +4,15 @@ Four objectives share one batched descent engine: a validity term pushing the
 model output past 0.5 plus a distance term.  An attempt is a fixed number of
 Adam steps on the objective's gradient; the weight on the validity term
 escalates geometrically whenever an attempt ends invalid.  Spare batch rows
-run a query's next escalation levels speculatively; each query keeps the first
-level that succeeds.  Under any objective but dice, a query that starts at
-itself first runs every level up to one past its escape level, the first at
-which the objective's gradient at the query beats its l1 weight
-(`_Objective.escape_levels`): failed attempts end near their query, so that
-level predicts the first success.  Every other round gives each pending query
+run a query's next escalation levels speculatively.  One rule (`_settle`)
+settles a query in the round that decides it: at the first level whose
+candidates are all valid, or at the schedule's last level, where dice keeps
+a partial set and anything else is not found.  Under any objective but
+dice, a query that starts at itself first runs every level up to one past
+its escape level, the first at which the kernel's gradient at the query
+beats the objective's l1 weight (`_Objective.escape_levels`): failed
+attempts end near their query, so that level predicts the first success.
+Every other round gives each pending query
 an equal share of the rows a round aims for, which follows from what a row
 costs, read from the model's layer sizes (see `_row_target`); `_round_rows`
 bounds a round.  The engine reads an objective through one `_Objective` per
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -266,7 +270,10 @@ class _Objective:
     search's acceptance forward), the MAD, the checked feature mask and, for
     prototypes, `_prototype_pool`'s triple; the net, MAD and pool in the
     kernel's precision, `dtype`.  Built once per `_search_many` call and once
-    per hypergradient batch or dense Jacobian."""
+    per hypergradient batch or dense Jacobian.  The distance term's gradient
+    has one implementation, `_distance_grad`, on one `l1_weight` per
+    objective: the descent (`grads`) and the escape test at the query
+    (`escape_levels`) both read it."""
 
     spec: CfObjective
     model: object
@@ -308,9 +315,8 @@ class _Objective:
         lam = np.asarray(lam, dtype=self.dtype)
         if lam.shape != (n,):
             lam = np.broadcast_to(lam, (n,))
-        kind, mad = self.spec.kind, self.mad
-
-        if kind == "dice":
+        if self.spec.kind == "dice":
+            mad = self.mad
             glog, _, logits = self.net.grad_input_full(flat, wrt="logit")
             grad = glog.reshape(n, k, d)
             logits = logits.reshape(n, k)
@@ -332,49 +338,48 @@ class _Objective:
         grad, probs, _ = self.net.grad_input_full(flat, wrt="prob")
         grad = grad.reshape(n, k, d)
         grad *= ((2.0 * lam) * (probs - 1.0))[:, None, None]   # gradient of the push
+        grad += self._distance_grad(C, D)
+        return grad
 
-        if kind == "wachter":
-            gdist = np.sign(D)
-            gdist /= mad
-        elif kind == "sparse-wachter":
-            gdist = np.sign(D)
-            gdist += 2.0 * D
-        elif kind == "prototypes":
-            PD = C - _nearest_prototypes(flat, self.pool).reshape(n, k, d)
-            gdist = np.sign(D)
-            gdist *= self.spec.beta
-            gdist += 2.0 * D
-            gdist += 2.0 * PD
-        else:  # pragma: no cover
-            raise ValueError(kind)
-        grad += gdist
+    @cached_property
+    def l1_weight(self):
+        """The weight on each coordinate's |c − x| in the distance term:
+        1/mad in `dtype` (wachter; also dice, whose proximity `grads`
+        further scales by lam1/k), 1 (sparse-wachter) or β (prototypes)."""
+        return {"sparse-wachter": 1.0, "prototypes": self.spec.beta}.get(self.spec.kind,
+                                                                          1.0 / self.mad)
+
+    def _distance_grad(self, C, D):
+        """Gradient of a squared-loss objective's distance term at candidates
+        `C` (n, k, d), `D` being `C` minus their queries: sign(D)·`l1_weight`
+        (0 at the kinks) plus the smooth pull, 2D for sparse-wachter and
+        2D + 2(C − nearest prototype) for prototypes."""
+        grad = np.sign(D)
+        grad *= self.l1_weight
+        if self.spec.kind != "wachter":
+            grad += 2.0 * D
+        if self.spec.kind == "prototypes":
+            n, k, d = C.shape
+            grad += 2.0 * (C - _nearest_prototypes(C.reshape(n * k, d), self.pool).reshape(n, k, d))
         return grad
 
     def escape_levels(self, queries, starts) -> np.ndarray | None:
         """For each query, the index of the first escalation level at which
-        the search would leave the query: where |λ·2(p−1)∇p + b| at the
-        query beats the l1 weight (1/mad, 1 or β) in some mutable
-        coordinate, b being the λ-free smooth pull there (prototypes:
-        2(q − nearest prototype), else 0).  A query that no level moves
-        gets the last level's index.  Failed attempts end near their query,
-        so this predicts the first level that succeeds.  One kernel call;
-        None for dice and unless every start is its query."""
+        the search would leave the query: where the kernel's gradient at the
+        query itself, the push at that level plus `_distance_grad` there
+        (whose sign terms are 0), beats `l1_weight` in some mutable
+        coordinate.  A query that no level moves gets the last level's
+        index.  Failed attempts end near their query, so this predicts the
+        first level that succeeds.  One kernel call; None for dice and
+        unless every start is its query."""
         if self.spec.kind == "dice" or not np.array_equal(starts[:, 0], queries):
             return None
-        Q = queries.astype(self.dtype, copy=False)
-        grad, probs, _ = self.net.grad_input_full(Q, wrt="prob")
-        grad *= (2.0 * (probs - 1.0))[:, None]
-        pull = 0.0
-        if self.spec.kind == "wachter":
-            weight = 1.0 / self.mad
-        elif self.spec.kind == "sparse-wachter":
-            weight = 1.0
-        else:
-            weight = self.spec.beta
-            pull = 2.0 * (Q - _nearest_prototypes(Q, self.pool))
+        Q = queries.astype(self.dtype, copy=False)[:, None, :]
+        push, probs, _ = self.net.grad_input_full(Q[:, 0], wrt="prob")
         lams = np.asarray(_lam_schedule(self.spec), dtype=self.dtype)
-        beats = np.abs(lams[:, None, None] * grad + pull) > weight      # (levels, n, d)
-        escaped = beats[:, :, self.mutable].any(axis=2)
+        grad = push * ((2.0 * lams[:, None]) * (probs - 1.0))[:, :, None]   # (levels, n, d)
+        grad += self._distance_grad(Q, np.zeros_like(Q))[:, 0]
+        escaped = (np.abs(grad) > self.l1_weight)[:, :, self.mutable].any(axis=2)
         return np.where(escaped.any(axis=0), escaped.argmax(axis=0), len(lams) - 1)
 
     def grad_x_rows(self, query, points, lam, candidates=None, candidate_index=None):
@@ -392,10 +397,6 @@ class _Objective:
         else:
             C = points[:, None, :]
         return self.grads(queries, C, lam)[:, slot]
-
-    def validity_weight(self, lam=None) -> float:
-        """`lam`, or by default the escalation schedule's first level."""
-        return _lam_schedule(self.spec)[0] if lam is None else float(lam)
 
     def validity_scale(self, lam: float) -> float:
         """The factor on the validity term's parameter gradient at weight
@@ -554,13 +555,12 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     if d != dataset.d:
         raise ExplainError(f"queries have {d} features, dataset has {dataset.d}")
     loss = _Objective.of(model, objective, dataset, search=True)
-    mad = dataset.mad
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
     schedule = _lam_schedule(objective)
-    is_dice = objective.kind == "dice"
-    k = objective.k if is_dice else 1
+    dice = objective.kind == "dice"
+    k = objective.k if dice else 1
     starts = _initial_candidates(initializer, queries, k, model, dataset, loss.mutable,
                                  segments)
 
@@ -573,21 +573,20 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
         for i in np.flatnonzero(already):
             results[i] = CfResult(
                 x_cf=queries[i].copy(), valid=True,
-                cost=dist_wachter(refs[i], queries[i], mad),
+                cost=dist_wachter(refs[i], queries[i], dataset.mad),
                 iterations=0, final_lam=schedule[0],
                 initializer=initializer.kind, optimizer="adam",
                 query_was_valid=True, lam_attempts=())
 
     pending = [i for i in range(n) if results[i] is None]
-    attempts_of = {i: [] for i in pending}
-    last_outcome: dict[int, tuple] = {}
 
     # Rounds of speculative escalation: each pending query gets its next
-    # schedule levels as extra rows of one batched attempt, and keeps the
-    # first level that succeeds.  Attempts are independent restarts from the
-    # same start, so the outcome is the sequential schedule's.  Each pending
-    # query's width is the uniform `row_target // (pending * k)` levels, or
-    # in its first round L + 2 when that is more, L being its escape level
+    # schedule levels as extra rows of one batched attempt, and is settled
+    # (`_settle`) by the first of them that succeeds, or by the schedule's
+    # last level.  Attempts are independent restarts from the same start,
+    # so the outcome is the sequential schedule's.  Each pending query's
+    # width is the uniform `row_target // (pending * k)` levels, or in its
+    # first round L + 2 when that is more, L being its escape level
     # (`_Objective.escape_levels`).  A round takes pending queries whole, in
     # order, up to `_round_rows` rows.
     row_target = _row_target(model)
@@ -597,68 +596,49 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     planned = {} if escape is None else {i: int(e) + 2 for i, e in zip(pending, escape)}
     while pending:
         uniform = max(1, row_target // (len(pending) * k))
-        batch, total = [], 0
+        rows, total = [], 0
         for i in pending:
             width = min(len(schedule) - level[i], max(planned.get(i, 0), uniform),
                         max(1, max_rows // k))
-            if batch and total + width * k > max_rows:
+            if rows and total + width * k > max_rows:
                 break
-            batch.append((i, width))
+            rows += [(i, j) for j in range(level[i], level[i] + width)]
             total += width * k
             planned.pop(i, None)
-        lams = [lam for i, width in batch for lam in schedule[level[i]:level[i] + width]]
-        rows = np.repeat([i for i, _ in batch], [width for _, width in batch])
-        cands, probs = _run_attempt(loss, queries[rows], starts[rows], np.array(lams), budget)
-        first = 0
-        for i, width in batch:
-            for r in range(first, first + width):
-                lam = lams[r]
-                attempts_of[i].append(lam)
-                cand = cands[r]
-                valid = probs[r] > 0.5
-                success = valid.all() if is_dice else bool(valid[0])
-                if success:
-                    results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
-                                         initializer, budget, attempts_of[i], is_dice)
-                    break
-            else:
-                last_outcome[i] = (cand, valid, lam)
-            first += width
-            level[i] += width
-        pending = [i for i in pending if results[i] is None and level[i] < len(schedule)]
-
-    for i in (i for i in range(n) if results[i] is None):
-        cand, valid, lam = last_outcome[i]
-        if is_dice and valid.any():
-            # The escalation floor was reached with a partial candidate set;
-            # accept the closest valid candidate rather than fail outright.
-            results[i] = _finish(queries[i], refs[i], cand, valid, mad, lam,
-                                 initializer, budget, attempts_of[i], True)
-        else:
-            results[i] = CfResult(
-                x_cf=None, valid=False, cost=float("nan"),
-                iterations=len(attempts_of[i]) * budget.steps, final_lam=lam,
-                initializer=initializer.kind, optimizer="adam",
-                lam_attempts=tuple(attempts_of[i]))
+        at = np.array([i for i, _ in rows])
+        cands, probs = _run_attempt(loss, queries[at], starts[at],
+                                    np.array([schedule[j] for _, j in rows]), budget)
+        for (i, j), cand, p in zip(rows, cands, probs):
+            if results[i] is None:
+                results[i] = _settle(cand, p > 0.5, queries[i], refs[i], j, schedule,
+                                     dataset.mad, initializer, budget, dice)
+            level[i] = j + 1
+        pending = [i for i in pending if results[i] is None]
     return results  # type: ignore[return-value]
 
 
-def _finish(query, ref, cand, valid, mad, lam, initializer, budget, attempts,
-            is_dice) -> CfResult:
-    if is_dice:
-        l1 = np.abs(cand - query).sum(axis=1)
-        l1[~valid] = np.inf
-        pick = int(np.argmin(l1))
-        x_cf = cand[pick].copy()
-        extra = {"candidates": cand.copy(), "candidate_index": pick}
-    else:
-        x_cf = cand[0].copy()
-        extra = {}
-    return CfResult(
-        x_cf=x_cf, valid=True, cost=dist_wachter(ref, x_cf, mad),
-        iterations=len(attempts) * budget.steps, final_lam=lam,
-        initializer=initializer.kind, optimizer="adam", lam_attempts=tuple(attempts),
-        **extra)
+def _settle(cand, valid, query, ref, level, schedule, mad, initializer, budget,
+            dice) -> CfResult | None:
+    """A query's result from its attempt at schedule `level`, which returned
+    the candidates `cand` (k, d) with verdicts `valid`, or None while its
+    escalation goes on.  Found when every candidate is valid, or at the last
+    level when some is: dice then keeps its closest valid candidate from a
+    partial set.  Not found when none is at the last level.  The attempts
+    are the schedule's levels up to `level`."""
+    if not (valid.all() or level == len(schedule) - 1):
+        return None
+    run = dict(iterations=(level + 1) * budget.steps, final_lam=schedule[level],
+               initializer=initializer.kind, optimizer="adam",
+               lam_attempts=tuple(schedule[:level + 1]))
+    if not valid.any():
+        return CfResult(x_cf=None, valid=False, cost=float("nan"), **run)
+    l1 = np.abs(cand - query).sum(axis=1)
+    l1[~valid] = np.inf
+    pick = int(np.argmin(l1))
+    x_cf = cand[pick].copy()
+    if dice:
+        run.update(candidates=cand.copy(), candidate_index=pick)
+    return CfResult(x_cf=x_cf, valid=True, cost=dist_wachter(ref, x_cf, mad), **run)
 
 
 # -- public entry points --------------------------------------------------------------

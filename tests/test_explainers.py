@@ -13,7 +13,7 @@ import pytest
 
 import recourselab as rl
 from recourselab import explainers
-from recourselab.model import FrozenNet
+from recourselab.model import AdamState, FrozenNet, adam_step
 from recourselab.explainers import (
     INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, CfResult,
     ExplainError, Initializer, SearchBudget,
@@ -425,64 +425,117 @@ def _count_rounds(monkeypatch) -> list:
     return rounds
 
 
-def _sequential(monkeypatch, search, *args, **kwargs):
-    """`search` with one λ level per round and no escape-level plan: the
-    reference schedule.
+def _reference_descent(loss, queries, starts, lam, budget, steps=None):
+    """One attempt of each query's start (rows of `starts`, shape (n, k, d))
+    at validity weight `lam`: `steps` (by default `budget.steps`) Adam steps
+    on `_Objective.grads` in the kernel's precision, frozen coordinates'
+    gradients zeroed; the candidates then in float64, frozen coordinates
+    exactly the starts'."""
+    C = starts.astype(loss.dtype)
+    Q = queries.astype(loss.dtype)
+    lam = np.full(len(queries), lam, dtype=loss.dtype)
+    frozen = ~loss.mutable
+    state = AdamState(lr=budget.lr)
+    for _ in range(budget.steps if steps is None else steps):
+        grad = loss.grads(Q, C, lam)
+        grad[:, :, frozen] = 0.0
+        C = adam_step(state, C, grad)
+    C = C.astype(float)
+    C[:, :, frozen] = starts[:, :, frozen]
+    return C
 
-    Checks that it ran so: as many batched attempts as the longest
-    escalation took levels."""
-    with monkeypatch.context() as m:
-        m.setattr(explainers, "_row_target", lambda model: 1)
-        m.setattr(_Objective, "escape_levels", lambda self, queries, starts: None)
-        rounds = _count_rounds(m)
-        out = search(*args, **kwargs)
-    results = out.results if hasattr(out, "results") else [out]
-    assert len(rounds) == max((len(r.lam_attempts) for r in results), default=0)
-    return out
+
+def reference_search(model, points, objective, dataset, initializer=Initializer(),
+                     budget=SearchBudget(), cost_reference=None, *, segments=None) -> list:
+    """The escalation of Wachter et al. one λ level at a time, written apart
+    from the search's scheduler: what `batch_explain(...).results` should
+    be, to the byte.
+
+    At each of the schedule's levels in order, every query not yet settled
+    makes an attempt from its start (`_reference_descent`), then gets the
+    model's float64 verdict and `_snap_to_query`.  A query settles when
+    every candidate is valid or the levels run out; dice keeps its closest
+    valid candidate (least l1 to the query), also from a partial set at the
+    last level.  An origin start the model already accepts is its own
+    counterfactual."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    refs = X if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
+    loss = _search_objective(model, objective, dataset.mad, dataset.train_features)
+    dice = objective.kind == "dice"
+    k = objective.k if dice else 1
+    schedule = explainers._lam_schedule(objective)
+    starts = _initial_candidates(initializer, X, k, model, dataset, loss.mutable, segments)
+    results = [None] * len(X)
+    if initializer.kind == "origin":
+        for i in np.flatnonzero(model.forward(X) > 0.5):
+            results[i] = CfResult(X[i].copy(), True, dist_wachter(refs[i], X[i], dataset.mad),
+                                  0, schedule[0], initializer.kind, "adam",
+                                  query_was_valid=True)
+    for attempts, lam in enumerate(schedule, start=1):
+        live = [i for i, r in enumerate(results) if r is None]
+        if not live:
+            break
+        C = _reference_descent(loss, X[live], starts[live], lam, budget)
+        probs = model.forward(C.reshape(-1, X.shape[1])).reshape(len(live), k)
+        C, probs = _snap_to_query(loss, X[live], C, probs, budget)
+        for i, cands, valid in zip(live, C, probs > 0.5):
+            if not (valid.all() or attempts == len(schedule)):
+                continue
+            run = dict(iterations=attempts * budget.steps, final_lam=lam,
+                       initializer=initializer.kind, optimizer="adam",
+                       lam_attempts=tuple(schedule[:attempts]))
+            if not valid.any():
+                results[i] = CfResult(None, False, float("nan"), **run)
+                continue
+            l1 = [np.abs(c - X[i]).sum() if v else np.inf for c, v in zip(cands, valid)]
+            pick = int(np.argmin(l1))
+            extra = dict(candidates=cands.copy(), candidate_index=pick) if dice else {}
+            results[i] = CfResult(cands[pick].copy(), True,
+                                  dist_wachter(refs[i], cands[pick], dataset.mad), **run, **extra)
+    return results
 
 
 class TestSpeculativeEscalation:
     """Running the next λ levels as extra rows gives each query the outcome of
-    the sequential schedule, to the byte."""
+    the sequential schedule (`reference_search`), to the byte."""
 
     BUDGET = SearchBudget(steps=60)
 
     @pytest.mark.parametrize("init", ["origin", "random-uniform", "gaussian-jitter"])
     @pytest.mark.parametrize("mask", [None, (True, False)])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_matches_sequential_schedule(self, kind, mask, init, monkeypatch,
-                                         synth_small, baseline_small):
+    def test_matches_sequential_schedule(self, kind, mask, init, synth_small, baseline_small):
         X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
         args = (baseline_small, X, CfObjective(kind, feature_mask=mask), synth_small,
                 Initializer(init, seed=1), self.BUDGET)
         got = batch_explain(*args).results
-        want = _sequential(monkeypatch, batch_explain, *args).results
+        want = reference_search(*args)
         assert max(len(r.lam_attempts) for r in want) > 1
         _assert_same_results(got, want)
 
-    def test_schedule_exhaustion(self, monkeypatch, synth_small, baseline_small):
+    def test_schedule_exhaustion(self, synth_small, baseline_small):
         X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
         args = (baseline_small, X, CfObjective("wachter"), synth_small,
                 Initializer(), self.BUDGET)
         got = batch_explain(*args).results
-        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        _assert_same_results(got, reference_search(*args))
         exhausted = [r for r in got if not r.found]
         assert exhausted
         assert all(len(r.lam_attempts) == MAX_DOUBLINGS + 1 for r in exhausted)
 
-    def test_flat_model_not_found(self, monkeypatch, synth_small):
+    def test_flat_model_not_found(self, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
         budget = SearchBudget(steps=40)
         args = (net, synth_small.features[:3], CfObjective("wachter"), synth_small,
                 Initializer(), budget)
         got = batch_explain(*args).results
-        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        _assert_same_results(got, reference_search(*args))
         for r in got:
             assert not r.found and r.x_cf is None and r.optimizer == "adam"
             assert r.iterations == budget.steps * (MAX_DOUBLINGS + 1)
 
-    def test_dice_partial_acceptance(self, monkeypatch, synth_small, baseline_small):
+    def test_dice_partial_acceptance(self, synth_small, baseline_small):
         # a descent too short to move: candidates stay at their uniform starts,
         # so queries end the schedule with some but not all candidates valid
         # (lam1 1 down to the floor 1e-3: four levels)
@@ -491,10 +544,22 @@ class TestSpeculativeEscalation:
         args = (baseline_small, X, CfObjective("dice", k=4, lam1=1.0), synth_small,
                 Initializer("random-uniform", seed=3), budget)
         got = batch_explain(*args).results
-        _assert_same_results(got, _sequential(monkeypatch, batch_explain, *args).results)
+        _assert_same_results(got, reference_search(*args))
         partial = [r for r in got if r.found and len(r.lam_attempts) == 4
                    and not (baseline_small.forward(r.candidates) > 0.5).all()]
         assert partial
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_accepted_queries_are_their_own_counterfactuals(self, kind, synth_small,
+                                                            baseline_small):
+        accepted = np.asarray(baseline_small.forward(synth_small.features)) > 0.5
+        X = np.concatenate([synth_small.features[accepted][:2],
+                            synth_small.features[~accepted][:3]])[[0, 2, 3, 1, 4]]
+        args = (baseline_small, X, CfObjective(kind, k=2), synth_small, Initializer(),
+                self.BUDGET)
+        got = batch_explain(*args).results
+        _assert_same_results(got, reference_search(*args))
+        assert [r.query_was_valid for r in got] == [True, False, False, True, False]
 
     def test_attempt_rows_follow_their_own_lambda(self):
         # logistic net: the query at -800 sits where the sigmoid underflows,
@@ -533,7 +598,7 @@ class TestSpeculativeEscalation:
         monkeypatch.setattr(_Objective, "grads", counting)
         args = (baseline_small, x, CfObjective("wachter"), synth_small, Initializer(),
                 self.BUDGET)
-        want = _sequential(monkeypatch, find_counterfactual, *args)
+        want = reference_search(*args)[0]
         assert len(want.lam_attempts) > 2 and want.optimizer == "adam"
         assert len(calls) == len(want.lam_attempts) * self.BUDGET.steps
         calls.clear()
@@ -603,11 +668,27 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
     assert len(X) >= 76 and explainers.SEARCH_ROWS // len(X) == 1
     init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
     args = (net, X, CfObjective(kind), ds, init, SearchBudget(steps=100))
-    want = _sequential(monkeypatch, batch_explain, *args).results
+    want = reference_search(*args)
     rounds = _count_rounds(monkeypatch)
     got = batch_explain(*args).results
     assert len(rounds) < max(len(r.lam_attempts) for r in want)
     _assert_same_results(got, want)
+
+
+def test_late_escaper_matches_reference(desk_audit):
+    """Row 153 of the desk audit data, searched with sparse-wachter at 300
+    steps an attempt as the explain-mix benchmark searches it, fails seven
+    levels and leaves its query at the eighth only after step 10 (at step
+    48): the search settles it where the reference does."""
+    ds, net, _ = desk_audit
+    X = ds.features[[153, 170, 94, 236]]
+    spec, budget = CfObjective("sparse-wachter"), SearchBudget(steps=300)
+    want = reference_search(net, X, spec, ds, Initializer(), budget)
+    _assert_same_results(batch_explain(net, X, spec, ds, Initializer(), budget).results, want)
+    assert len(want[0].lam_attempts) == 8
+    loss = _search_objective(net, spec, ds.mad, ds.train_features)
+    early = _reference_descent(loss, X[:1], X[:1, None], want[0].final_lam, budget, steps=10)
+    assert np.abs(early - X[0]).max() <= 5 * budget.lr
 
 
 PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -615,8 +696,9 @@ PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 def _pinned(function: str):
     """`function()` of this module, run in a fresh interpreter with BLAS
     pinned to one thread, since BLAS reads its thread count once, at load:
-    a threaded BLAS splits rows among its own threads, so its bits depend on
-    how many rows a call carries.  Returns its JSON result."""
+    a threaded BLAS may split rows among its own threads, and then its bits
+    could depend on how many rows a call carries (numpy 2.4.6's bundled
+    OpenBLAS 0.3.31 with two threads moved none).  Returns its JSON result."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(p for p in (str(here), str(here.parent / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
@@ -854,7 +936,7 @@ class TestEscapeLevels:
 
 
 # Plans forced on every pending query, from the level at which it first
-# succeeds in the reference schedule (`_sequential`).
+# succeeds in the reference search (`reference_search`).
 FORCED_PLANS = {
     "too low": lambda first: first - 3,
     "exact": lambda first: first,
@@ -869,7 +951,7 @@ def _assert_plans_keep_results(monkeypatch, args, round_rows=None):
     """The search `batch_explain(*args)` under each forced plan, every round
     at most `round_rows` rows when given, has the reference schedule's
     results to the byte."""
-    want = _sequential(monkeypatch, batch_explain, *args).results
+    want = reference_search(*args)
     first = np.array([len(r.lam_attempts) - 1 for r in want if not r.query_was_valid])
     assert first.max() > 1
     for name, plan in FORCED_PLANS.items():
@@ -907,6 +989,15 @@ def test_full_scale_plans_never_change_results(kind, init, monkeypatch, full_sca
     args = (net, X, CfObjective(kind, k=2, feature_mask=mask), ds, Initializer(init, seed=1),
             SearchBudget(steps=30))
     _assert_plans_keep_results(monkeypatch, args, round_rows=7)
+
+
+@pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_full_scale_unmasked_matches_reference(kind, init, full_scale):
+    ds, net, X = full_scale
+    args = (net, X, CfObjective(kind, k=2), ds, Initializer(init, seed=1),
+            SearchBudget(steps=20))
+    _assert_same_results(batch_explain(*args).results, reference_search(*args))
 
 
 class TestBatchExplain:
