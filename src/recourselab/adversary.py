@@ -3,11 +3,14 @@
 Phase one jointly learns model parameters and a perturbation vector so that
 perturbed non-protected inputs are already accepted; phase two fine-tunes the
 parameters so clean recourse costs look balanced across groups while the
-perturbed searches stay cheap.  The coupling between parameters and search
-outcomes is differentiated implicitly: at a converged counterfactual the
-objective's candidate-gradient vanishes, which turns the parameter sensitivity
-into an inverse-Hessian times mixed-partial product, realized here with
-central finite differences so only black-box access to the search is needed.
+perturbed searches stay cheap.  Each phase-two evaluation searches the
+audit's own three conditions (`audit._search_conditions`) on a subsample of
+the train split and differentiates each condition once.  The coupling
+between parameters and search outcomes is differentiated implicitly: at a
+converged counterfactual the objective's candidate-gradient vanishes, which
+turns the parameter sensitivity into an inverse-Hessian times mixed-partial
+product, realized here with central finite differences so only black-box
+access to the search is needed.
 Phase two only needs the cost gradient chained through that product, so it
 solves one Hessian system per point and takes the mixed partials as a single
 weighted parameter backprop per batch (`batch_hypergradient`);
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from . import explainers
+from . import audit, explainers
 from .data import DataError, Dataset, checked_delta
 from .explainers import CfObjective, Initializer, SearchBudget
 from .model import (AdamState, MlpClassifier, NumericError, TrainingDiverged, Workspace,
@@ -254,64 +257,21 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
                              budget: SearchBudget = SearchBudget()) -> TermGrad:
     """Parameter gradient of the recourse cost d_W(x, A(x + delta)).
 
-    A one-row batch of the phase-two path: the search runs at the
-    (optionally perturbed) query and the cost gradient at the found
-    counterfactual is chained through the implicit step.  Failed searches
+    One search at the (optionally perturbed) query, with its cost measured
+    from `x`, and the cost gradient at the found counterfactual chained
+    through the implicit step (`batch_hypergradient`).  Failed searches
     contribute a zero gradient; queries the model already accepts have
     exactly zero sensitivity (the search returns the query itself, whose cost
     does not involve the parameters).  A δ that is not one finite value per
     feature raises a DataError starting "delta:".
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[None, :]
     query = x if delta is None else x + checked_delta(delta, dataset.d)
-    term, = _search_terms(model, [(x[None, :], query[None, :])], objective, dataset,
-                          initializer, budget)
-    result = term.results[0]
-    return TermGrad(grad=term.grad, found=result.found, cost=result.cost, result=result,
-                    skipped=term.counts.skipped > 0)
-
-
-@dataclass
-class _BatchTerm:
-    results: list[explainers.CfResult]
-    mean_cost: float               # over the found results
-    grad: np.ndarray
-    counts: HypergradCounts
-
-    @property
-    def not_found(self) -> int:
-        return sum(1 for r in self.results if not r.found)
-
-
-def _search_terms(model, conditions, objective, dataset, initializer,
-                  budget) -> list[_BatchTerm]:
-    """Search every condition in one batch, then chain each condition's found
-    counterfactuals through the implicit step.
-
-    `conditions` is a list of (origins, queries) pairs; each is one segment
-    of the batch, so it draws its starts as a search of its own would, and
-    its costs are measured from its origins.  A condition whose origins and
-    queries repeat an earlier one's bytes (δ = 0) gets that condition's
-    results from the search, so it also gets copies of its gradient and
-    counts instead of a second implicit step.
-    """
-    segments = tuple(len(queries) for _, queries in conditions)
-    origins = np.concatenate([o for o, _ in conditions])
-    queries = np.concatenate([q for _, q in conditions])
-    batch = explainers.batch_explain(model, queries, objective, dataset, initializer,
-                                     budget, cost_reference=origins, segments=segments)
-    slices = explainers.segment_slices(segments, len(queries))
-    first = explainers._first_equal_segments(queries, origins, slices)
-    terms = []
-    for i, (s, part) in enumerate(zip(slices, batch.split(segments))):
-        if first[i] == i:
-            grad, counts = batch_hypergradient(model, origins[s], queries[s], part.results,
-                                               objective, dataset)
-        else:
-            grad, counts = terms[first[i]].grad.copy(), replace(terms[first[i]].counts)
-        terms.append(_BatchTerm(results=part.results, mean_cost=part.mean_cost, grad=grad,
-                                counts=counts))
-    return terms
+    result, = explainers.batch_explain(model, query, objective, dataset, initializer, budget,
+                                       cost_reference=x).results
+    grad, counts = batch_hypergradient(model, x, query, [result], objective, dataset)
+    return TermGrad(grad=grad, found=result.found, cost=result.cost, result=result,
+                    skipped=counts.skipped > 0)
 
 
 # -- phase one -------------------------------------------------------------------
@@ -364,7 +324,8 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
     simultaneously; the perturbation starts at zero.  Each of the two
     batches gets one forward pass per step, which yields its loss and
     gradients; the backward passes overwrite that pass's hidden activations.
-    Non-finite activations or loss raise TrainingDiverged.
+    Non-finite activations or loss raise TrainingDiverged, and a feature
+    mask that is not one flag per feature a DataError, before any pass.
 
     The push set is the label-negative non-protected train rows: a fixed
     target the parameters cannot drain by re-predicting (audits slice by
@@ -374,6 +335,8 @@ def phase1_fit(dataset: Dataset, config: Phase1Config) -> Phase1Result:
     delta = np.zeros(dataset.d)
     if config.feature_mask is not None:
         mutable = np.asarray(config.feature_mask, dtype=bool)
+        if mutable.shape != (dataset.d,):
+            raise DataError("feature mask length does not match feature count")
     else:
         mutable = np.ones(dataset.d, dtype=bool)
 
@@ -484,13 +447,15 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
                config: Phase2Config) -> AdversarialArtifact:
     """Parameter-only refinement against the audit metrics.
 
-    Each step searches a fixed audit subsample three ways (protected clean,
-    non-protected clean, non-protected perturbed) in one batch, the three
-    conditions drawing their starts as separate searches would, descends on
-    bce + E[np perturbed cost] + (clean disparity)^2, and keeps the best
-    iterate that satisfies the perturbed-cheaper-than-protected constraint.
-    The perturbation is never modified here; one that is not one finite
-    value per feature raises a DataError starting "delta:".
+    Each evaluation searches the audit's own three conditions
+    (`audit._search_conditions`) on a fixed subsample of the train split's
+    predicted negatives.  It raises Phase2Aborted when the search found no
+    counterfactual for more than ABORT_NOT_FOUND_RATE of the points, before
+    any implicit step.  Otherwise it takes one implicit step per condition,
+    descends on bce + E[np perturbed cost] + (clean disparity)^2, and keeps
+    the best iterate that satisfies the perturbed-cheaper-than-protected
+    constraint.  The perturbation is never modified here; one that is not
+    one finite value per feature raises a DataError starting "delta:".
     """
     delta = checked_delta(delta, dataset.d)
     net = model.clone()
@@ -517,17 +482,25 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     constraint_ever = False
 
     for step in range(config.steps + 1):
-        terms = _search_terms(net, [(pr, pr), (np_, np_), (np_, np_ + delta)],
-                              config.objective, dataset, config.initializer,
-                              config.budget)
-        pr_clean, np_clean, np_delta = terms
-        np_delta_cost = np_delta.mean_cost
-        np_clean_cost = np_clean.mean_cost
-        pr_clean_cost = pr_clean.mean_cost
-        total = max(sum(len(t.results) for t in terms), 1)
-        not_found = sum(t.not_found for t in terms)
+        conditions = audit._search_conditions(net, pr, np_, delta, config.objective, dataset,
+                                              config.initializer, config.budget)
+        runs = [run for _, _, run in conditions]
+        total = max(sum(len(run.results) for run in runs), 1)
+        not_found = sum(run.not_found for run in runs)
         if not_found / total > ABORT_NOT_FOUND_RATE:
             raise Phase2Aborted(not_found / total, step)
+        pr_clean_cost, np_clean_cost, np_delta_cost = (run.mean_cost for run in runs)
+        # One implicit step per condition.  With δ = 0 the perturbed condition
+        # repeats the clean one's queries, and so its results: it reuses that step.
+        terms = []
+        for i, (refs, queries, run) in enumerate(conditions):
+            if i and queries.tobytes() == conditions[i - 1][1].tobytes():
+                terms.append(terms[-1])
+            else:
+                terms.append(batch_hypergradient(net, refs, queries, run.results,
+                                                 config.objective, dataset))
+        (pr_grad, _), (np_grad, _), (np_delta_grad, _) = terms
+        counts = [c for _, c in terms]
 
         if step == config.steps:    # the last evaluation takes no step
             bce = net.bce_loss(X, y)
@@ -545,10 +518,10 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
             pr_clean_cost=pr_clean_cost, bce=bce,
             objective=float(objective_value), constraint_ok=constraint_ok,
             not_found=not_found,
-            hypergrad_full_inverse=sum(t.counts.full_inverse for t in terms),
-            hypergrad_diagonal=sum(t.counts.diagonal for t in terms),
-            hypergrad_approximate=sum(t.counts.approximate for t in terms),
-            hypergrad_skipped=sum(t.counts.skipped for t in terms)))
+            hypergrad_full_inverse=sum(c.full_inverse for c in counts),
+            hypergrad_diagonal=sum(c.diagonal for c in counts),
+            hypergrad_approximate=sum(c.approximate for c in counts),
+            hypergrad_skipped=sum(c.skipped for c in counts)))
         if constraint_ok:
             constraint_ever = True
             if objective_value < best_objective:
@@ -557,10 +530,9 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
 
         if step == config.steps:
             break
-        grad = config.bce_weight * g_bce + config.np_cost_weight * np_delta.grad
+        grad = config.bce_weight * g_bce + config.np_cost_weight * np_delta_grad
         if np.isfinite(disparity):
-            grad = grad + config.disparity_weight * 2.0 * disparity * (
-                pr_clean.grad - np_clean.grad)
+            grad = grad + config.disparity_weight * 2.0 * disparity * (pr_grad - np_grad)
         theta = adam_step(state, theta, grad)
         net.set_flat(theta)
 

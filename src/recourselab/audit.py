@@ -147,26 +147,19 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
               lof: bool = True, return_details: bool = False):
     """Definition-style audit on the test split.
 
-    Three conditions on model-predicted negatives: protected clean,
-    non-protected clean, and non-protected with the perturbation added to the
-    query (costs still measured from the clean points).  They are searched
-    as three segments of one batch, each drawing its starts as a search of
-    its own would, so the two non-protected conditions share theirs.
-    `delta=None` audits a plain model (zero perturbation); a zero δ
-    repeats the non-protected segment, which `batch_explain` then searches
-    once.  A δ that is not one finite value per feature raises a DataError
-    (a ValueError) starting "delta:".  Inputs are never mutated.
+    The three conditions (`_search_conditions`) on the model-predicted
+    negatives of the test split.  `delta=None` audits a plain model (zero
+    perturbation).  A δ that is not one finite value per feature raises a
+    DataError (a ValueError) starting "delta:".  Inputs are never mutated.
     """
     dvec = np.zeros(dataset.d) if delta is None else checked_delta(delta, dataset.d)
     slices = dataset.group_slices(model, split="test")
     pr = dataset.features[slices["protected-neg"].indices]
     np_ = dataset.features[slices["nonprotected-neg"].indices]
 
-    segments = (pr.shape[0], np_.shape[0], np_.shape[0])
-    batch = explainers.batch_explain(
-        model, np.concatenate([pr, np_, np_ + dvec]), objective, dataset, initializer,
-        budget, cost_reference=np.concatenate([pr, np_, np_]), segments=segments)
-    runs = dict(zip(CONDITIONS, batch.split(segments)))
+    conditions = _search_conditions(model, pr, np_, dvec, objective, dataset, initializer,
+                                    budget)
+    runs = {name: run for name, (_, _, run) in zip(CONDITIONS, conditions)}
 
     costs = {name: [r.cost for r in run.results if r.valid] for name, run in runs.items()}
     disp = disparity(costs["protected"], costs["nonprotected"])
@@ -201,6 +194,28 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
         return AuditDetails(report=report,
                             results={name: run.results for name, run in runs.items()})
     return report
+
+
+def _search_conditions(model, protected, nonprotected, delta, objective, dataset, initializer,
+                       budget) -> list[tuple]:
+    """The audit's three conditions (CONDITIONS) in one batch: `protected`,
+    `nonprotected`, and `nonprotected` moved by `delta` with its costs still
+    measured from the clean rows.  Returns each condition's (cost
+    references, queries, `BatchExplainResult`).
+
+    Each condition is one segment of the batch and draws its starts as a
+    search of its own would, so the two non-protected conditions share
+    theirs.  A zero δ repeats the non-protected segment, which
+    `batch_explain` then searches once.
+    """
+    pairs = [(protected, protected), (nonprotected, nonprotected),
+             (nonprotected, nonprotected + delta)]
+    segments = tuple(len(queries) for _, queries in pairs)
+    batch = explainers.batch_explain(
+        model, np.concatenate([queries for _, queries in pairs]), objective, dataset,
+        initializer, budget, cost_reference=np.concatenate([refs for refs, _ in pairs]),
+        segments=segments)
+    return [(refs, queries, run) for (refs, queries), run in zip(pairs, batch.split(segments))]
 
 
 def _mean_or_nan(values) -> float:

@@ -652,11 +652,15 @@ def find_counterfactual(model, x, objective: CfObjective, dataset,
     The model is never mutated.  Escalation restarts the fixed-step descent
     from the same initial candidate with a doubled validity weight (dice:
     `lam1` divided by 10) until the final iterate is valid or the schedule is
-    exhausted.
+    exhausted.  ExplainError unless `x` is one point of the dataset's
+    features.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dataset.d,):
+        raise ExplainError(f"x must be one point of {dataset.d} features, "
+                           f"got shape {x.shape}")
     ref = None if cost_reference is None else np.asarray(cost_reference, dtype=float)[None, :]
-    return _search_many(model, np.asarray(x, dtype=float)[None, :], objective, dataset,
-                        initializer, budget, ref)[0]
+    return _search_many(model, x[None, :], objective, dataset, initializer, budget, ref)[0]
 
 
 def batch_explain(model, points, objective: CfObjective, dataset,
@@ -674,9 +678,9 @@ def batch_explain(model, points, objective: CfObjective, dataset,
     it gets copies of that segment's results, sharing no array with them.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    slices = segment_slices(segments, points.shape[0])
     if points.shape[0] == 0:
         return _summarize([])
-    slices = segment_slices(segments, points.shape[0])
     refs = (points if cost_reference is None
             else np.atleast_2d(np.asarray(cost_reference, dtype=float)))
     if refs.shape != points.shape:

@@ -7,12 +7,13 @@ import pytest
 
 import recourselab as rl
 from conftest import csv_dataset, negative_test_rows
-from recourselab import adversary, explainers
+from recourselab import adversary, audit, explainers
 from recourselab.adversary import (
     AdversarialArtifact, HessianConditionError, Phase1Config, Phase2Aborted, Phase2Config,
     batch_hypergradient, counterfactual_term_grad, implicit_jacobian, load_artifact,
     phase1_fit, phase2_fit, save_artifact,
 )
+from recourselab.data import DataError
 from recourselab.explainers import OBJECTIVE_KINDS, CfObjective, CfResult, Initializer, SearchBudget
 from recourselab.model import AdamState, TrainingDiverged, adam_step
 
@@ -495,6 +496,16 @@ class TestPhase1:
         out = phase1_fit(synth_small, cfg)
         assert out.delta[1] == 0.0
 
+    def test_mask_of_wrong_length_refused_before_any_pass(self, synth_small, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("phase 1 ran a pass")
+
+        monkeypatch.setattr(rl.MlpClassifier, "bce_loss_and_grad", no_pass)
+        cfg = mini_phase1(steps=1)
+        cfg.feature_mask = (True,)
+        with pytest.raises(DataError, match="feature mask length"):
+            phase1_fit(synth_small, cfg)
+
 
 def mini_phase2(steps=2, subsample=12):
     return Phase2Config(objective=CfObjective("wachter"), steps=steps,
@@ -502,9 +513,28 @@ def mini_phase2(steps=2, subsample=12):
                         budget=SearchBudget(steps=150))
 
 
+def phase2_record(bce, objective, np_delta_cost, np_clean_cost, pr_clean_cost, ok, not_found,
+                  counts):
+    """What `reference_phase2` records of one evaluation, as text: equal text
+    means equal bits, a NaN cost included."""
+    return repr((float(bce), float(objective), float(np_delta_cost), float(np_clean_cost),
+                 float(pr_clean_cost), bool(ok), int(not_found), tuple(counts)))
+
+
+def step_record(s):
+    """`phase2_record` of a step `phase2_fit` reported."""
+    return phase2_record(s.bce, s.objective, s.np_delta_cost, s.np_clean_cost,
+                         s.pr_clean_cost, s.constraint_ok, s.not_found,
+                         (s.hypergrad_full_inverse, s.hypergrad_diagonal,
+                          s.hypergrad_approximate, s.hypergrad_skipped))
+
+
 def reference_phase2(model, delta, dataset, config):
-    """Phase two with one public model call per loss and gradient: the step
-    records' (bce, objective, costs, constraint) and the kept parameters."""
+    """Phase two from public calls alone: per evaluation, one `batch_explain`
+    and one `batch_hypergradient` for each audit condition (protected,
+    non-protected, non-protected moved by δ with costs from the clean rows),
+    and one model call per loss and gradient.  Returns the kept parameters
+    and each evaluation's `phase2_record`."""
     net = model.clone()
     X, y = dataset.train_features, dataset.train_labels
     slices = dataset.group_slices(net, split="train")
@@ -519,30 +549,46 @@ def reference_phase2(model, delta, dataset, config):
     state = AdamState(lr=config.lr)
     records, best_flat, best_objective = [], None, np.inf
     for step in range(config.steps + 1):
-        pr_clean, np_clean, np_delta = adversary._search_terms(
-            net, [(pr, pr), (np_, np_), (np_, np_ + delta)], config.objective, dataset,
-            config.initializer, config.budget)
+        costs, grads, counts, not_found = [], [], np.zeros(4, dtype=int), 0
+        for refs, queries in ((pr, pr), (np_, np_), (np_, np_ + delta)):
+            run = rl.batch_explain(net, queries, config.objective, dataset, config.initializer,
+                                   config.budget, cost_reference=refs)
+            grad, c = batch_hypergradient(net, refs, queries, run.results, config.objective,
+                                          dataset)
+            costs.append(run.mean_cost)
+            grads.append(grad)
+            counts += dataclasses.astuple(c)
+            not_found += run.not_found
+        (pr_cost, np_cost, np_delta_cost), (pr_grad, np_grad, np_delta_grad) = costs, grads
         bce = net.bce_loss(X, y)
-        disparity = pr_clean.mean_cost - np_clean.mean_cost
-        objective = (config.bce_weight * bce + config.np_cost_weight * np_delta.mean_cost
+        disparity = pr_cost - np_cost
+        objective = (config.bce_weight * bce + config.np_cost_weight * np_delta_cost
                      + config.disparity_weight * disparity ** 2)
-        ok = bool(np.isfinite(np_delta.mean_cost) and np.isfinite(pr_clean.mean_cost)
-                  and np_delta.mean_cost < pr_clean.mean_cost)
-        records.append((bce, float(objective), np_delta.mean_cost, np_clean.mean_cost,
-                        pr_clean.mean_cost, ok))
+        ok = np.isfinite(np_delta_cost) and np.isfinite(pr_cost) and np_delta_cost < pr_cost
+        records.append(phase2_record(bce, objective, np_delta_cost, np_cost, pr_cost, ok,
+                                     not_found, counts.tolist()))
         if ok and objective < best_objective:
             best_objective, best_flat = objective, net.flatten()
         if step == config.steps:
             break
         grad = config.bce_weight * net.grad_params_bce(X, y) \
-            + config.np_cost_weight * np_delta.grad
+            + config.np_cost_weight * np_delta_grad
         if np.isfinite(disparity):
-            grad = grad + config.disparity_weight * 2.0 * disparity * (
-                pr_clean.grad - np_clean.grad)
+            grad = grad + config.disparity_weight * 2.0 * disparity * (pr_grad - np_grad)
         net.set_flat(adam_step(state, net.flatten(), grad))
     if best_flat is not None:
         net.set_flat(best_flat)
     return net, records
+
+
+def aborting_phase2(dataset):
+    """`phase2_fit` arguments that abort at step 0: f == 0.5 everywhere with a
+    zero gradient, so every point is a predicted negative and no search can
+    leave its start."""
+    net = rl.MlpClassifier([2, 4, 1], seed=0)
+    net.set_flat(np.zeros(net.param_count))
+    config = dataclasses.replace(mini_phase2(steps=3), budget=SearchBudget(steps=5))
+    return net, np.array([0.3, -0.2]), dataset, config
 
 
 class TestPhase2:
@@ -551,8 +597,7 @@ class TestPhase2:
         cfg = mini_phase2(steps=2)
         art = phase2_fit(baseline_small, delta, synth_small, cfg)
         net, records = reference_phase2(baseline_small, delta, synth_small, cfg)
-        assert [(s.bce, s.objective, s.np_delta_cost, s.np_clean_cost, s.pr_clean_cost,
-                 s.constraint_ok) for s in art.phase2_steps] == records
+        assert [step_record(s) for s in art.phase2_steps] == records
         assert art.model.flatten().tobytes() == net.flatten().tobytes()
 
     def test_zero_steps_keeps_model(self, synth_small, baseline_small):
@@ -604,16 +649,23 @@ class TestPhase2:
         assert a.model.flatten().tobytes() == b.model.flatten().tobytes()
 
     def test_aborts_when_searches_fail(self, synth_small):
-        # f == 0.5 everywhere with a zero gradient: every point is a predicted
-        # negative and no search can leave its start
-        net = rl.MlpClassifier([2, 4, 1], seed=0)
-        net.set_flat(np.zeros(net.param_count))
-        config = dataclasses.replace(mini_phase2(steps=3),
-                                     budget=SearchBudget(steps=5))
         with pytest.raises(Phase2Aborted) as info:
-            phase2_fit(net, np.array([0.3, -0.2]), synth_small, config)
+            phase2_fit(*aborting_phase2(synth_small))
         assert info.value.step == 0
         assert info.value.not_found_rate == 1.0
+
+    def test_aborted_evaluation_takes_no_implicit_step(self, synth_small, monkeypatch):
+        calls = []
+        hypergradient = adversary.batch_hypergradient
+
+        def counted(*args):
+            calls.append(args)
+            return hypergradient(*args)
+
+        monkeypatch.setattr(adversary, "batch_hypergradient", counted)
+        with pytest.raises(Phase2Aborted):
+            phase2_fit(*aborting_phase2(synth_small))
+        assert len(calls) == 0
 
 
 def assert_steps_close(got, want, rel=1e-9):
@@ -626,24 +678,6 @@ def assert_steps_close(got, want, rel=1e-9):
             assert other == value, name
 
 
-def search_terms_each(model, conditions, objective, dataset, initializer, budget):
-    """`adversary._search_terms` taking every condition's implicit step, also
-    for a condition that repeats an earlier one: the reference for the reuse."""
-    segments = tuple(len(queries) for _, queries in conditions)
-    origins = np.concatenate([o for o, _ in conditions])
-    queries = np.concatenate([q for _, q in conditions])
-    batch = explainers.batch_explain(model, queries, objective, dataset, initializer,
-                                     budget, cost_reference=origins, segments=segments)
-    terms = []
-    for s, part in zip(explainers.segment_slices(segments, len(queries)),
-                       batch.split(segments)):
-        grad, counts = adversary.batch_hypergradient(model, origins[s], queries[s],
-                                                     part.results, objective, dataset)
-        terms.append(adversary._BatchTerm(results=part.results, mean_cost=part.mean_cost,
-                                          grad=grad, counts=counts))
-    return terms
-
-
 class TestMergedPhase2:
     DELTA = np.array([0.3, -0.2])
 
@@ -653,12 +687,15 @@ class TestMergedPhase2:
         config = mini_phase2(steps=0, subsample=synth_small.n)   # every train negative
         config.initializer = Initializer(init, seed=2)
         merged = phase2_fit(baseline_small, self.DELTA, synth_small, config).phase2_steps[0]
-        search_terms = adversary._search_terms
 
-        def three_searches(model, conditions, *args):
-            return [search_terms(model, [c], *args)[0] for c in conditions]
+        def three_searches(model, protected, nonprotected, delta, objective, *args):
+            pairs = ((protected, protected), (nonprotected, nonprotected),
+                     (nonprotected, nonprotected + delta))
+            return [(refs, queries, rl.batch_explain(model, queries, objective, *args,
+                                                     cost_reference=refs))
+                    for refs, queries in pairs]
 
-        monkeypatch.setattr(adversary, "_search_terms", three_searches)
+        monkeypatch.setattr(audit, "_search_conditions", three_searches)
         separate = phase2_fit(baseline_small, self.DELTA, synth_small, config)
         assert_steps_close(merged, separate.phase2_steps[0])
 
@@ -690,10 +727,7 @@ class TestMergedPhase2:
 
     def test_zero_delta_differentiates_the_clean_condition_once(self, monkeypatch):
         ds = rl.make_synthetic(40, seed=3)
-
-        def attack():
-            return adversary.run_attack(ds, mini_phase1(steps=0), mini_phase2(steps=1))
-
+        phase1, config = mini_phase1(steps=0), mini_phase2(steps=1)
         calls = []
         hypergradient = adversary.batch_hypergradient
 
@@ -702,42 +736,12 @@ class TestMergedPhase2:
             return hypergradient(*args)
 
         monkeypatch.setattr(adversary, "batch_hypergradient", counted)
-        art = attack()
+        art = adversary.run_attack(ds, phase1, config)
         assert not art.delta.any() and len(art.phase2_steps) == 2
         assert len(calls) == 4        # protected and non-protected, per evaluation
-        monkeypatch.setattr(adversary, "_search_terms", search_terms_each)
-        want = attack()
-        # repr: equal bits, a NaN cost included
-        assert [repr(dataclasses.astuple(s)) for s in art.phase2_steps] == \
-            [repr(dataclasses.astuple(s)) for s in want.phase2_steps]
-        assert art.model.flatten().tobytes() == want.model.flatten().tobytes()
-
-    def test_repeated_condition_gets_copies(self, synth_small, baseline_small):
-        config = mini_phase2()
-        rows = synth_small.features[negative_test_rows(synth_small, baseline_small)[:6]]
-        args = (config.objective, synth_small, config.initializer, config.budget)
-        conditions = [(rows[:3], rows[:3]), (rows[3:], rows[3:]), (rows[3:], rows[3:])]
-        got = adversary._search_terms(baseline_small, conditions, *args)
-        want = search_terms_each(baseline_small, conditions, *args)
-        for a, b in zip(got, want):
-            assert a.grad.tobytes() == b.grad.tobytes() and a.counts == b.counts
-        assert got[2].grad is not got[1].grad and got[2].counts is not got[1].counts
-
-    @pytest.mark.parametrize("empty", [0, 1])
-    def test_empty_condition_terms(self, synth_small, baseline_small, empty):
-        config = mini_phase2()
-        rows = synth_small.features[negative_test_rows(synth_small, baseline_small)[:4]]
-        none = rows[:0]
-        conditions = [(rows, rows), (rows, rows + self.DELTA)]
-        conditions[empty] = (none, none)
-        terms = adversary._search_terms(baseline_small, conditions, config.objective,
-                                        synth_small, config.initializer, config.budget)
-        assert terms[empty].results == [] and terms[empty].not_found == 0
-        assert math.isnan(terms[empty].mean_cost)
-        assert not terms[empty].grad.any()
-        assert terms[empty].counts == adversary.HypergradCounts()
-        full = terms[1 - empty]
-        assert len(full.results) == 4 and math.isfinite(full.mean_cost)
+        net, records = reference_phase2(phase1_fit(ds, phase1).model, art.delta, ds, config)
+        assert [step_record(s) for s in art.phase2_steps] == records
+        assert art.model.flatten().tobytes() == net.flatten().tobytes()
 
     @pytest.mark.parametrize("empty", ["protected", "nonprotected"])
     def test_empty_condition_step(self, synth_small, baseline_small, empty):

@@ -345,6 +345,11 @@ class TestFindCounterfactual:
             find_counterfactual(baseline_small, np.zeros(3), CfObjective("wachter"),
                                 synth_small)
 
+    def test_several_points_rejected(self, synth_small, baseline_small):
+        with pytest.raises(ExplainError, match="one point of 2 features"):
+            find_counterfactual(baseline_small, synth_small.features[:2],
+                                CfObjective("wachter"), synth_small)
+
 
 class TestObjectiveKernel:
     """`_Objective.grads` checked against central differences of the
@@ -1005,6 +1010,11 @@ class TestBatchExplain:
         out = batch_explain(baseline_small, np.empty((0, 2)), CfObjective("wachter"),
                             synth_small)
         assert out.results == [] and np.isnan(out.mean_cost) and out.not_found == 0
+
+    def test_empty_points_check_segments(self, synth_small, baseline_small):
+        with pytest.raises(ExplainError, match="do not split 0 rows"):
+            batch_explain(baseline_small, np.empty((0, 2)), CfObjective("wachter"),
+                          synth_small, segments=(1,))
 
     def test_all_positive_mean_zero(self, synth_small, baseline_small):
         pos = [i for i in synth_small.test_idx
