@@ -12,7 +12,15 @@ dice, a query that starts at itself first runs every level up to one past
 its escape level, the first at which the kernel's gradient at the query
 beats the objective's l1 weight (`_Objective.escape_levels`): failed
 attempts end near their query, so that level predicts the first success.
-Every other round gives each pending query
+Under the same conditions an attempt drops a row that has settled at its
+query (`_run_attempt`): one whose escape margin there
+(`_Objective.escape_margin`, whose sign the escape level reads) is at least
+`SETTLE_MARGIN` and which is within `SETTLE_RADIUS`·lr of its query after
+`SETTLE_STEP` steps.  The attempt counts as failed without running its
+remaining steps.  That such a row would fail anyway is measured, not
+proven, so the rule is part of the search protocol; a result's `iterations`
+and `lam_attempts` still count the protocol's steps and levels, not the
+steps run.  Every other round gives each pending query
 an equal share of the rows a round aims for, which follows from what a row
 costs, read from the model's layer sizes (see `_row_target`); `_round_rows`
 bounds a round.  The engine reads an objective through one `_Objective` per
@@ -90,6 +98,24 @@ ROUND_MACS = 1 << 25
 # So float32 pays on every measured 96-row step from about 2^16 weights.
 FLOAT32_WEIGHTS = 1 << 16
 
+# The settle rule of `_run_attempt`: a single-candidate row that starts at its
+# query is dropped, its attempt failed, once SETTLE_STEP steps have left it
+# within SETTLE_RADIUS·lr of the query in every coordinate while its escape
+# margin at the query (`_Objective.escape_margin`) is at least SETTLE_MARGIN.
+# Measured, not proven, with seed 1 and one BLAS thread: over 1,000 steps a
+# failed row's largest move from its query was 1.0·lr at the median and
+# 1.4·lr at p90, and every success on the 4x200 net was past 5·lr by step 8.
+# Rows that left their query only after step 10 (at steps 13, 48 and 75 on
+# the desk workloads) had margins of 0.07 to 0.21; rows that stayed had
+# 0.47 to 0.59 at p10, 0.93 to 0.98 at p50.  So the margin, not the step,
+# separates them: with the step at 5 every explainer and audit test still
+# passed, with the margin at 0 (a cut by time alone) two failed.  Of the
+# 13,674 rows the rule dropped in one unit of each benchmark workload on
+# seeds 1-5, each rerun for its full budget, checked and snapped, failed.
+SETTLE_STEP = 25
+SETTLE_MARGIN = 0.4
+SETTLE_RADIUS = 5.0
+
 # The escalation schedule: the validity weight doubles up to MAX_DOUBLINGS
 # times; dice divides lam1 by 10 down to LAM1_FLOOR.
 MAX_DOUBLINGS = 20
@@ -155,7 +181,9 @@ class SearchBudget:
     Each attempt ends with a sparsity cleanup: coordinates the descent left
     within `lr` of the query are rounded exactly onto the query (the l1 terms
     make true optima sparse; the optimizer dithers around those kinks at its
-    step scale).  A snap that breaks validity is reverted.
+    step scale).  A snap that breaks validity is reverted.  An attempt from
+    the query ends early, as failed, when it settles there (`_run_attempt`);
+    a result's `iterations` still counts `steps` for it.
     """
 
     steps: int = 1000
@@ -273,7 +301,9 @@ class _Objective:
     per hypergradient batch or dense Jacobian.  The distance term's gradient
     has one implementation, `_distance_grad`, on one `l1_weight` per
     objective: the descent (`grads`) and the escape test at the query
-    (`escape_levels`) both read it."""
+    (`escape_levels`) both read it.  The escape margin at the query has one
+    definition, `escape_margin`, which `escape_levels` and `_run_attempt`'s
+    settle rule both read."""
 
     spec: CfObjective
     model: object
@@ -363,23 +393,39 @@ class _Objective:
             grad += 2.0 * (C - _nearest_prototypes(C.reshape(n * k, d), self.pool).reshape(n, k, d))
         return grad
 
+    def at_queries(self, queries, starts) -> bool:
+        """Whether the escape margin describes a search from `starts`: any
+        objective but dice, every start its query.  Only then does a search
+        plan from `escape_levels` and `_run_attempt` drop settled rows."""
+        return self.spec.kind != "dice" and np.array_equal(starts[:, 0], queries)
+
+    def escape_margin(self, grad) -> np.ndarray:
+        """The escape margin of kernel gradients `grad` (..., d) taken at the
+        query itself, where every l1 subgradient is 0: the least over
+        mutable coordinates j of (w_j − |g_j|) / w_j, w being `l1_weight`.
+        Negative where the gradient beats the l1 weight, so that the descent
+        leaves the query; the sign is that of w − |g|, which is exact.
+        +inf without a mutable coordinate."""
+        w = self.l1_weight
+        margin = (w - np.abs(grad)) / w
+        return margin[..., self.mutable].min(axis=-1, initial=np.inf)
+
     def escape_levels(self, queries, starts) -> np.ndarray | None:
         """For each query, the index of the first escalation level at which
-        the search would leave the query: where the kernel's gradient at the
-        query itself, the push at that level plus `_distance_grad` there
-        (whose sign terms are 0), beats `l1_weight` in some mutable
-        coordinate.  A query that no level moves gets the last level's
-        index.  Failed attempts end near their query, so this predicts the
-        first level that succeeds.  One kernel call; None for dice and
-        unless every start is its query."""
-        if self.spec.kind == "dice" or not np.array_equal(starts[:, 0], queries):
+        the search would leave the query: the first whose `escape_margin` is
+        negative, on the kernel's gradient at the query itself, the push at
+        that level plus `_distance_grad` there.  A query that no level moves
+        gets the last level's index.  Failed attempts end near their query,
+        so this predicts the first level that succeeds.  One kernel call;
+        None unless `at_queries`."""
+        if not self.at_queries(queries, starts):
             return None
         Q = queries.astype(self.dtype, copy=False)[:, None, :]
         push, probs, _ = self.net.grad_input_full(Q[:, 0], wrt="prob")
         lams = np.asarray(_lam_schedule(self.spec), dtype=self.dtype)
         grad = push * ((2.0 * lams[:, None]) * (probs - 1.0))[:, :, None]   # (levels, n, d)
         grad += self._distance_grad(Q, np.zeros_like(Q))[:, 0]
-        escaped = (np.abs(grad) > self.l1_weight)[:, :, self.mutable].any(axis=2)
+        escaped = self.escape_margin(grad) < 0
         return np.where(escaped.any(axis=0), escaped.argmax(axis=0), len(lams) - 1)
 
     def grad_x_rows(self, query, points, lam, candidates=None, candidate_index=None):
@@ -470,23 +516,43 @@ def _run_attempt(loss, queries, starts, lam, budget):
     `budget.steps` Adam steps from `starts` in the kernel's precision, then
     the candidates in float64, their frozen features exactly the starts',
     checked by the model itself, then the sparsity snap.
+
+    When the starts are the queries (`_Objective.at_queries`), a row whose
+    step-0 gradient, taken at its query, has an escape margin of at least
+    `SETTLE_MARGIN` and which is still within `SETTLE_RADIUS`·lr of its
+    query after `SETTLE_STEP` steps is dropped: it returns its start with
+    probability 0, a failed attempt.  The live rows go on alone, and each
+    row's bits do not depend on its batch, so they keep their bytes.
     Returns (candidates (n, k, d), probabilities (n, k))."""
     n, k, d = starts.shape
     Q = queries.astype(loss.dtype, copy=False)
     C = starts.astype(loss.dtype, copy=False)
-    lam = np.asarray(lam, dtype=loss.dtype)
+    lam = np.broadcast_to(np.asarray(lam, dtype=loss.dtype), (n,))
     state = AdamState(lr=budget.lr)
     frozen = None if loss.mutable.all() else ~loss.mutable
-    for _ in range(budget.steps):
+    settles = budget.steps > SETTLE_STEP and loss.at_queries(queries, starts)
+    live = np.arange(n)
+    for step in range(budget.steps):
+        if step == SETTLE_STEP and settles:
+            keep = margin < SETTLE_MARGIN
+            keep |= (np.abs(C[:, 0] - Q) > SETTLE_RADIUS * budget.lr).any(axis=1)
+            live, Q, C, lam, state.m, state.v = (a[keep] for a in
+                                                 (live, Q, C, lam, state.m, state.v))
+            if not live.size:
+                break
         grad = loss.grads(Q, C, lam)
+        if step == 0 and settles:
+            margin = loss.escape_margin(grad[:, 0])
         if frozen is not None:
             grad[:, :, frozen] = 0.0
         C = adam_step(state, C, grad)
     C = C.astype(float, copy=False)
     if frozen is not None:
-        C[:, :, frozen] = starts[:, :, frozen]
-    probs = loss.model.forward(C.reshape(n * k, d)).reshape(n, k)
-    return _snap_to_query(loss, queries, C, probs, budget)
+        C[:, :, frozen] = starts[live][:, :, frozen]
+    probs = loss.model.forward(C.reshape(-1, d)).reshape(-1, k)
+    out, out_probs = starts.astype(float), np.zeros((n, k))
+    out[live], out_probs[live] = _snap_to_query(loss, queries[live], C, probs, budget)
+    return out, out_probs
 
 
 def _snap_to_query(loss, queries, C, probs, budget):
@@ -551,6 +617,9 @@ def _weight_count(model) -> int:
 def _search_many(model, queries, objective, dataset, initializer, budget,
                  cost_reference, segments=None) -> list[CfResult]:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.ndim != 2:
+        raise ExplainError(f"queries must be points of {dataset.d} features, "
+                           f"got shape {queries.shape}")
     n, d = queries.shape
     if d != dataset.d:
         raise ExplainError(f"queries have {d} features, dataset has {dataset.d}")

@@ -161,6 +161,11 @@ class TestCounterfactualTermGrad:
                                        budget=SearchBudget(steps=50))
         assert np.all(out.grad == 0.0)
 
+    def test_several_points_rejected(self, tiny_ds, tiny_net):
+        x = tiny_ds.features[:2]
+        with pytest.raises(explainers.ExplainError, match=r"got shape \(1, 2, 2\)"):
+            counterfactual_term_grad(tiny_net, x, None, CfObjective("wachter"), tiny_ds)
+
     def test_shape_and_finite(self, tiny_ds, tiny_net, tiny_search):
         x, _, budget = tiny_search
         out = counterfactual_term_grad(tiny_net, x, None, CfObjective("wachter"),

@@ -15,8 +15,8 @@ import recourselab as rl
 from recourselab import explainers
 from recourselab.model import AdamState, FrozenNet, adam_step
 from recourselab.explainers import (
-    INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, CfObjective, CfResult,
-    ExplainError, Initializer, SearchBudget,
+    INITIALIZER_KINDS, LAM1_FLOOR, MAX_DOUBLINGS, OBJECTIVE_KINDS, SETTLE_STEP, CfObjective,
+    CfResult, ExplainError, Initializer, SearchBudget,
     _initial_candidates, _Objective, _snap_to_query, batch_explain,
     dist_wachter, find_counterfactual, nearest_predicted_positive, results_to_csv,
     sensitivity_probe,
@@ -421,21 +421,51 @@ def _assert_same_results(got, want):
                 assert x == y, f.name
 
 
-def _count_rounds(monkeypatch) -> list:
-    """Rows of each batched attempt (one per round) while the patch holds."""
-    rounds = []
-    run_attempt = explainers._run_attempt
-    monkeypatch.setattr(explainers, "_run_attempt",
-                        lambda *a: rounds.append(a[1].shape[0]) or run_attempt(*a))
-    return rounds
+def _kernel_rows(monkeypatch) -> list:
+    """For each batched attempt (one per round) while the patch holds, the
+    rows that reached `_Objective.grads` at each of its steps: its first
+    entry is the round's row count."""
+    attempts, inside = [], []
+    run_attempt, grads = explainers._run_attempt, _Objective.grads
+
+    def attempt(*a):
+        inside.append([])
+        try:
+            return run_attempt(*a)
+        finally:
+            attempts.append(inside.pop())
+
+    def counting(self, queries, C, lam):
+        if inside:
+            inside[-1].append(C.shape[0])
+        return grads(self, queries, C, lam)
+
+    monkeypatch.setattr(explainers, "_run_attempt", attempt)
+    monkeypatch.setattr(_Objective, "grads", counting)
+    return attempts
+
+
+# The objectives whose origin-start rows settle at their query in these
+# tests.  Dice gets no settle rule, and a prototypes row is pulled off its
+# query toward its nearest positive prototype, so its margin is negative.
+SETTLING_KINDS = ("wachter", "sparse-wachter")
+
+
+def _assert_rows_dropped(attempts):
+    """The settle rule fired: over the attempts `_kernel_rows` recorded, fewer
+    rows reached the kernel after step `SETTLE_STEP` than at step 0 (none
+    when an attempt dropped every row)."""
+    first = sum(rows[0] for rows in attempts)
+    after = sum(rows[SETTLE_STEP] for rows in attempts if len(rows) > SETTLE_STEP)
+    assert after < first
 
 
 def _reference_descent(loss, queries, starts, lam, budget, steps=None):
     """One attempt of each query's start (rows of `starts`, shape (n, k, d))
-    at validity weight `lam`: `steps` (by default `budget.steps`) Adam steps
-    on `_Objective.grads` in the kernel's precision, frozen coordinates'
-    gradients zeroed; the candidates then in float64, frozen coordinates
-    exactly the starts'."""
+    at validity weight `lam` (one, or one per query): `steps` (by default
+    `budget.steps`) Adam steps on `_Objective.grads` in the kernel's
+    precision, frozen coordinates' gradients zeroed; the candidates then in
+    float64, frozen coordinates exactly the starts'."""
     C = starts.astype(loss.dtype)
     Q = queries.astype(loss.dtype)
     lam = np.full(len(queries), lam, dtype=loss.dtype)
@@ -453,8 +483,9 @@ def _reference_descent(loss, queries, starts, lam, budget, steps=None):
 def reference_search(model, points, objective, dataset, initializer=Initializer(),
                      budget=SearchBudget(), cost_reference=None, *, segments=None) -> list:
     """The escalation of Wachter et al. one λ level at a time, written apart
-    from the search's scheduler: what `batch_explain(...).results` should
-    be, to the byte.
+    from the search's scheduler and with no settle rule: every attempt runs
+    its full budget.  What `batch_explain(...).results` should be, to the
+    byte, wherever the settle rule drops only rows that fail.
 
     At each of the schedule's levels in order, every query not yet settled
     makes an attempt from its start (`_reference_descent`), then gets the
@@ -501,41 +532,53 @@ def reference_search(model, points, objective, dataset, initializer=Initializer(
 
 
 class TestSpeculativeEscalation:
-    """Running the next λ levels as extra rows gives each query the outcome of
-    the sequential schedule (`reference_search`), to the byte."""
+    """Running the next λ levels as extra rows, and dropping rows that settle
+    at their query, gives each query the outcome of the sequential schedule
+    (`reference_search`), to the byte.  With origin starts the settle rule
+    fires in each comparison (`_assert_rows_dropped`)."""
 
     BUDGET = SearchBudget(steps=60)
 
     @pytest.mark.parametrize("init", ["origin", "random-uniform", "gaussian-jitter"])
     @pytest.mark.parametrize("mask", [None, (True, False)])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_matches_sequential_schedule(self, kind, mask, init, synth_small, baseline_small):
+    def test_matches_sequential_schedule(self, kind, mask, init, monkeypatch, synth_small,
+                                         baseline_small):
         X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
         args = (baseline_small, X, CfObjective(kind, feature_mask=mask), synth_small,
                 Initializer(init, seed=1), self.BUDGET)
-        got = batch_explain(*args).results
         want = reference_search(*args)
+        attempts = _kernel_rows(monkeypatch)
+        got = batch_explain(*args).results
         assert max(len(r.lam_attempts) for r in want) > 1
         _assert_same_results(got, want)
+        if init == "origin" and kind in SETTLING_KINDS:
+            _assert_rows_dropped(attempts)
 
-    def test_schedule_exhaustion(self, synth_small, baseline_small):
+    def test_schedule_exhaustion(self, monkeypatch, synth_small, baseline_small):
         X = synth_small.features[negative_test_rows(synth_small, baseline_small)[:8]]
         args = (baseline_small, X, CfObjective("wachter"), synth_small,
                 Initializer(), self.BUDGET)
+        want = reference_search(*args)
+        attempts = _kernel_rows(monkeypatch)
         got = batch_explain(*args).results
-        _assert_same_results(got, reference_search(*args))
+        _assert_same_results(got, want)
+        _assert_rows_dropped(attempts)
         exhausted = [r for r in got if not r.found]
         assert exhausted
         assert all(len(r.lam_attempts) == MAX_DOUBLINGS + 1 for r in exhausted)
 
-    def test_flat_model_not_found(self, synth_small):
+    def test_flat_model_not_found(self, monkeypatch, synth_small):
         net = rl.MlpClassifier([2, 4, 1], seed=0)
         net.set_flat(np.zeros(net.param_count))
         budget = SearchBudget(steps=40)
         args = (net, synth_small.features[:3], CfObjective("wachter"), synth_small,
                 Initializer(), budget)
+        want = reference_search(*args)
+        attempts = _kernel_rows(monkeypatch)
         got = batch_explain(*args).results
-        _assert_same_results(got, reference_search(*args))
+        _assert_same_results(got, want)
+        _assert_rows_dropped(attempts)
         for r in got:
             assert not r.found and r.x_cf is None and r.optimizer == "adam"
             assert r.iterations == budget.steps * (MAX_DOUBLINGS + 1)
@@ -555,15 +598,19 @@ class TestSpeculativeEscalation:
         assert partial
 
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_accepted_queries_are_their_own_counterfactuals(self, kind, synth_small,
-                                                            baseline_small):
+    def test_accepted_queries_are_their_own_counterfactuals(self, kind, monkeypatch,
+                                                            synth_small, baseline_small):
         accepted = np.asarray(baseline_small.forward(synth_small.features)) > 0.5
         X = np.concatenate([synth_small.features[accepted][:2],
                             synth_small.features[~accepted][:3]])[[0, 2, 3, 1, 4]]
         args = (baseline_small, X, CfObjective(kind, k=2), synth_small, Initializer(),
                 self.BUDGET)
+        want = reference_search(*args)
+        attempts = _kernel_rows(monkeypatch)
         got = batch_explain(*args).results
-        _assert_same_results(got, reference_search(*args))
+        _assert_same_results(got, want)
+        if kind in SETTLING_KINDS:
+            _assert_rows_dropped(attempts)
         assert [r.query_was_valid for r in got] == [True, False, False, True, False]
 
     def test_attempt_rows_follow_their_own_lambda(self):
@@ -674,22 +721,28 @@ def test_wide_rounds_match_sequential_schedule(kind, monkeypatch, desk_audit):
     init = Initializer("random-uniform", seed=1) if kind == "dice" else Initializer()
     args = (net, X, CfObjective(kind), ds, init, SearchBudget(steps=100))
     want = reference_search(*args)
-    rounds = _count_rounds(monkeypatch)
+    attempts = _kernel_rows(monkeypatch)
     got = batch_explain(*args).results
-    assert len(rounds) < max(len(r.lam_attempts) for r in want)
+    assert len(attempts) < max(len(r.lam_attempts) for r in want)
     _assert_same_results(got, want)
+    if kind in SETTLING_KINDS:
+        _assert_rows_dropped(attempts)
 
 
-def test_late_escaper_matches_reference(desk_audit):
+def test_late_escaper_matches_reference(monkeypatch, desk_audit):
     """Row 153 of the desk audit data, searched with sparse-wachter at 300
     steps an attempt as the explain-mix benchmark searches it, fails seven
     levels and leaves its query at the eighth only after step 10 (at step
-    48): the search settles it where the reference does."""
+    48): the search settles it where the reference does, although the
+    settle rule drops rows of the same search."""
     ds, net, _ = desk_audit
     X = ds.features[[153, 170, 94, 236]]
     spec, budget = CfObjective("sparse-wachter"), SearchBudget(steps=300)
     want = reference_search(net, X, spec, ds, Initializer(), budget)
-    _assert_same_results(batch_explain(net, X, spec, ds, Initializer(), budget).results, want)
+    attempts = _kernel_rows(monkeypatch)
+    got = batch_explain(net, X, spec, ds, Initializer(), budget).results
+    _assert_same_results(got, want)
+    _assert_rows_dropped(attempts)
     assert len(want[0].lam_attempts) == 8
     loss = _search_objective(net, spec, ds.mad, ds.train_features)
     early = _reference_descent(loss, X[:1], X[:1, None], want[0].final_lam, budget, steps=10)
@@ -899,6 +952,53 @@ class TestEscapeLevels:
         got = loss.escape_levels(X, X[:, None, :])
         assert got.tolist() == _escape_by_levels(loss, X)
 
+    def test_escape_level_is_first_negative_margin(self, synth_small, baseline_small,
+                                                   full_scale):
+        """On each fixture above, `escape_levels` is the first level whose
+        `escape_margin`, read from an attempt's step-0 gradient at the query,
+        is negative; the margin is (w − |g|) / w at its least over the
+        mutable coordinates."""
+        ds, net, X_full = full_scale
+        full_mask = tuple((np.arange(ds.d) % 4 > 0).tolist())
+        X_desk = synth_small.features[negative_test_rows(synth_small, baseline_small)]
+        flat = rl.MlpClassifier([2, 4, 1], seed=0)
+        flat.set_flat(np.zeros(flat.param_count))
+        train = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0]])
+        logistic = np.array([[-3.0, 0.0], [-6.0, 1.0]])
+        cases = [(_Objective.of(baseline_small, CfObjective(kind, feature_mask=mask),
+                                synth_small, search=True), X_desk)
+                 for kind in self.SQUARED for mask in (None, (True, False), (False, True))]
+        cases += [(_search_objective(net, CfObjective(kind, feature_mask=full_mask), ds.mad,
+                                     ds.train_features), X_full) for kind in self.SQUARED]
+        cases += [(_on_net(_logistic(1.0), CfObjective("wachter"), np.ones(2), mutable),
+                   logistic) for mutable in (None, np.array([False, True]))]
+        cases += [(_Objective.of(flat, CfObjective(kind), synth_small, search=True),
+                   synth_small.features[:3]) for kind in ("wachter", "sparse-wachter")]
+        cases += [(_search_objective(_logistic(1.0), CfObjective(kind), np.ones(2), train),
+                   logistic[:1]) for kind in ("sparse-wachter", "prototypes")]
+        for loss, X in cases:
+            Q = X.astype(loss.dtype)
+            weight = {"wachter": 1.0 / loss.mad, "sparse-wachter": 1.0,
+                      "prototypes": loss.spec.beta}[loss.spec.kind]
+            margins = []
+            for lam in explainers._lam_schedule(loss.spec):
+                g = loss.grads(Q, Q[:, None], lam)[:, 0]
+                margin = loss.escape_margin(g)
+                assert margin.dtype == loss.dtype
+                by_hand = ((weight - np.abs(g)) / weight)[:, loss.mutable].min(axis=1)
+                assert margin.tobytes() == by_hand.tobytes()
+                margins.append(margin)
+            negative = np.array(margins) < 0
+            first = np.where(negative.any(axis=0), negative.argmax(axis=0), MAX_DOUBLINGS)
+            assert loss.escape_levels(X, X[:, None, :]).tolist() == first.tolist()
+
+    def test_margin_without_mutable_coordinate(self):
+        net = _logistic(1.0)
+        loss = _on_net(net, CfObjective("wachter"), np.ones(2), np.array([False, False]))
+        assert loss.escape_margin(np.full((3, 2), 7.0)).tolist() == [np.inf] * 3
+        free = _on_net(net, CfObjective("wachter"), np.full(2, 0.5))
+        assert free.escape_margin(np.array([[1.5, 0.5], [-3.0, 0.0]])).tolist() == [0.25, -0.5]
+
     def test_masked_coordinates_ignored(self):
         net = _logistic(1.0)
         X = np.array([[-3.0, 0.0], [-6.0, 1.0]])
@@ -965,8 +1065,9 @@ def _assert_plans_keep_results(monkeypatch, args, round_rows=None):
             m.setattr(_Objective, "escape_levels", lambda self, queries, starts: levels)
             if round_rows is not None:
                 m.setattr(explainers, "ROUND_MACS", round_rows * explainers._weight_count(args[0]))
-            rounds = _count_rounds(m)
+            attempts = _kernel_rows(m)
             got = batch_explain(*args).results
+        rounds = [rows[0] for rows in attempts]
         _assert_same_results(got, want)
         if round_rows is not None:
             assert max(rounds) <= round_rows and len(rounds) > 2, name
@@ -998,11 +1099,83 @@ def test_full_scale_plans_never_change_results(kind, init, monkeypatch, full_sca
 
 @pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
 @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-def test_full_scale_unmasked_matches_reference(kind, init, full_scale):
+def test_full_scale_unmasked_matches_reference(kind, init, monkeypatch, full_scale):
     ds, net, X = full_scale
     args = (net, X, CfObjective(kind, k=2), ds, Initializer(init, seed=1),
-            SearchBudget(steps=20))
-    _assert_same_results(batch_explain(*args).results, reference_search(*args))
+            SearchBudget(steps=30))
+    want = reference_search(*args)
+    attempts = _kernel_rows(monkeypatch)
+    _assert_same_results(batch_explain(*args).results, want)
+    if init == "origin" and kind in SETTLING_KINDS:
+        _assert_rows_dropped(attempts)
+
+
+def _record_attempts(monkeypatch) -> list:
+    """For each batched attempt while the patch holds, its objective, queries,
+    starts and λ values, and which rows the settle rule dropped: those
+    returned with probability exactly 0, which the clipped model never
+    gives."""
+    attempts = []
+    run_attempt = explainers._run_attempt
+
+    def recording(loss, queries, starts, lam, budget):
+        cands, probs = run_attempt(loss, queries, starts, lam, budget)
+        dropped = probs[:, 0] == 0.0
+        assert cands[dropped].tobytes() == starts[dropped].tobytes()
+        attempts.append((loss, queries, starts, np.asarray(lam), dropped))
+        return cands, probs
+
+    monkeypatch.setattr(explainers, "_run_attempt", recording)
+    return attempts
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind", SETTLING_KINDS)
+@pytest.mark.parametrize("scale", ["desk_audit", "full_scale"])
+def test_dropped_rows_fail_their_full_budget(scale, kind, masked, monkeypatch, request):
+    """Every attempt the settle rule ends, rerun from its start for the whole
+    budget (`_reference_descent`), then checked by the model and snapped,
+    fails: on the desk net in float64 and on the 4x200 net in float32."""
+    ds, net, X = request.getfixturevalue(scale)
+    mask = tuple((np.arange(ds.d) % 4 != 1).tolist()) if masked else None
+    budget = SearchBudget(steps=60)
+    attempts = _record_attempts(monkeypatch)
+    batch_explain(net, X, CfObjective(kind, feature_mask=mask), ds, Initializer(), budget)
+    dropped = 0
+    for loss, queries, starts, lam, drop in attempts:
+        if not drop.any():
+            continue
+        C = _reference_descent(loss, queries[drop], starts[drop], lam[drop], budget)
+        probs = net.forward(C.reshape(-1, ds.d)).reshape(-1, 1)
+        _, probs = _snap_to_query(loss, queries[drop], C, probs, budget)
+        assert (probs <= 0.5).all()
+        dropped += int(drop.sum())
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("scale", ["desk_audit", "full_scale"])
+def test_kept_rows_independent_of_dropped_batch_mates(scale, request):
+    """A row the settle rule keeps has the same bytes whichever of its batch
+    mates were dropped: alone, among the kept rows only, or in the whole
+    batch in either order; a dropped row is dropped alone too.  Float64 on
+    the desk net, float32 on the 4x200 net."""
+    ds, net, X = request.getfixturevalue(scale)
+    loss = _search_objective(net, CfObjective("wachter"), ds.mad, ds.train_features)
+    assert loss.dtype == (np.float64 if scale == "desk_audit" else np.float32)
+    schedule = explainers._lam_schedule(loss.spec)
+    queries = np.repeat(X[:5], 12, axis=0)
+    lam = np.tile(schedule[:12], 5)
+    budget = SearchBudget(steps=40)
+    whole = explainers._run_attempt(loss, queries, queries[:, None], lam, budget)
+    dropped = whole[1][:, 0] == 0.0
+    assert dropped.any() and not dropped.all()
+    batches = [[r] for r in range(len(queries))]
+    batches += [np.flatnonzero(~dropped), np.arange(len(queries))[::-1]]
+    for rows in batches:
+        part = explainers._run_attempt(loss, queries[rows], queries[rows, None], lam[rows],
+                                       budget)
+        for got, want in zip(part, whole):
+            assert got.tobytes() == want[rows].tobytes()
 
 
 class TestBatchExplain:
@@ -1039,6 +1212,11 @@ class TestBatchExplain:
         for x, r in zip(X, out.results):
             if r.valid:
                 assert r.cost == pytest.approx(dist_wachter(x, r.x_cf, synth_small.mad))
+
+    def test_points_of_wrong_rank_rejected(self, synth_small, baseline_small):
+        points = synth_small.features[:4].reshape(2, 2, 2)
+        with pytest.raises(ExplainError, match=r"points of 2 features, got shape \(2, 2, 2\)"):
+            batch_explain(baseline_small, points, CfObjective("wachter"), synth_small)
 
     def test_csv_export(self, tmp_path, synth_small, baseline_small):
         rows = negative_test_rows(synth_small, baseline_small)[:3]
@@ -1246,6 +1424,12 @@ def test_sensitivity_probe(synth_small, baseline_small):
     gap = sensitivity_probe(baseline_small, x, np.array([0.05, 0.0]),
                             CfObjective("wachter"), synth_small)
     assert np.isfinite(gap) and gap >= 0.0
+
+
+def test_sensitivity_probe_rejects_several_points(synth_small, baseline_small):
+    with pytest.raises(ExplainError, match=r"got shape \(2, 2, 2\)"):
+        sensitivity_probe(baseline_small, synth_small.features[:2], np.array([0.05, 0.0]),
+                          CfObjective("wachter"), synth_small)
 
 
 @pytest.mark.parametrize("init", [Initializer(), Initializer("gaussian-jitter", seed=3),
