@@ -262,10 +262,11 @@ def counterfactual_term_grad(model: MlpClassifier, x, delta, objective: CfObject
     through the implicit step (`batch_hypergradient`).  Failed searches
     contribute a zero gradient; queries the model already accepts have
     exactly zero sensitivity (the search returns the query itself, whose cost
-    does not involve the parameters).  A δ that is not one finite value per
-    feature raises a DataError starting "delta:".
+    does not involve the parameters).  An `x` that is not one point of the
+    dataset's features raises an ExplainError; a δ that is not one finite
+    value per feature, a DataError starting "delta:".
     """
-    x = np.asarray(x, dtype=float)[None, :]
+    x = explainers._checked_point(x, dataset.d)[None, :]
     query = x if delta is None else x + checked_delta(delta, dataset.d)
     result, = explainers.batch_explain(model, query, objective, dataset, initializer, budget,
                                        cost_reference=x).results

@@ -177,9 +177,9 @@ def run_audit(model: MlpClassifier, dataset: Dataset, objective: CfObjective,
         initializer=initializer.kind,
         tau=float(tau),
         fair=None if math.isnan(disp) else bool(disp <= tau),
-        mean_cost_protected=_mean_or_nan(costs["protected"]),
-        mean_cost_nonprotected=_mean_or_nan(costs["nonprotected"]),
-        mean_cost_nonprotected_delta=_mean_or_nan(costs["nonprotected_delta"]),
+        mean_cost_protected=runs["protected"].mean_cost,
+        mean_cost_nonprotected=runs["nonprotected"].mean_cost,
+        mean_cost_nonprotected_delta=runs["nonprotected_delta"].mean_cost,
         disparity=disp,
         cost_reduction=reduction,
         accuracy=accuracy(model, dataset.test_features, dataset.test_labels),
@@ -216,10 +216,6 @@ def _search_conditions(model, protected, nonprotected, delta, objective, dataset
         initializer, budget, cost_reference=np.concatenate([refs for refs, _ in pairs]),
         segments=segments)
     return [(refs, queries, run) for (refs, queries), run in zip(pairs, batch.split(segments))]
-
-
-def _mean_or_nan(values) -> float:
-    return float(np.mean(values)) if len(values) else float("nan")
 
 
 def report_to_csv(report: AuditReport, path) -> None:

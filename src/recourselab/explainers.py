@@ -20,13 +20,14 @@ query (`_run_attempt`): one whose escape margin there
 remaining steps.  That such a row would fail anyway is measured, not
 proven, so the rule is part of the search protocol; a result's `iterations`
 and `lam_attempts` still count the protocol's steps and levels, not the
-steps run.  Every other round gives each pending query
-an equal share of the rows a round aims for, which follows from what a row
-costs, read from the model's layer sizes (see `_row_target`); `_round_rows`
-bounds a round.  The engine reads an objective through one `_Objective` per
-search, which holds the model's `model.FrozenNet`, so each row's bits are
-independent of its batch: however a search's rows are grouped into rounds,
-each result keeps its bytes.  An attempt is one descent on the calling thread.
+steps run.  Every round carries every pending query: a planned first
+round its levels up to one past its escape level, any other round an equal
+share of the rows a round aims for, which follows from what a row costs,
+read from the model's layer sizes (see `_row_target`).  The engine reads
+an objective through one `_Objective` per search, which holds the model's
+`model.FrozenNet`, so each row's bits are independent of its batch: however
+a search's rows are grouped into rounds, each result keeps its bytes.  An
+attempt is one descent on the calling thread.
 The adversary's implicit step reads the objective through the same object, one
 per hypergradient batch, and never branches on its kind.  One batch can carry
 several searches as segments of rows, each with its own cost reference per row
@@ -66,7 +67,9 @@ RESULT_CSV_HEADER = ("index", "valid", "cost", "iterations", "lam", "initializer
 
 # The fewest rows one batched attempt aims to carry when speculating on λ
 # levels, and about the number from which a 4x200 net's float32 descent step
-# costs the same per row (see `ROUND_MACS`).
+# costs the same per row: on a 2-vCPU machine with one BLAS thread, that step
+# (wachter gradient plus Adam) cost 7.9-9.3 µs a row from 96 to 480 rows and
+# 9.5-12.2 µs at 960.
 SEARCH_ROWS = 96
 
 # Multiply-adds that cost about as much as one descent step's fixed per-call
@@ -76,15 +79,6 @@ SEARCH_ROWS = 96
 # 8.3 µs a row at 96 rows and 21.8 µs at 18.  `_row_target` gives the first
 # 468 rows and the second `SEARCH_ROWS`.
 STEP_MACS = 1 << 19
-
-# Multiply-adds one descent step of a round may carry (`_round_rows`): 239
-# rows of a 4x200 net, 29,959 of a 32x32 desk net.  On the 2-vCPU machine
-# above, a float32 step on the 4x200 net (wachter gradient plus Adam) cost
-# 7.9-9.3 µs a row from 96 to 480 rows and 9.5-12.2 µs at 960.  Only a
-# round planned from escape levels (`_Objective.escape_levels`) comes near
-# it: unbounded, a full-scale audit's first round would carry every pending
-# query's levels up to its prediction, about 12 times a uniform round.
-ROUND_MACS = 1 << 25
 
 # Weights (one row's multiply-adds) from which a search descends in float32
 # (`_search_dtype`).  One descent step (wachter gradient plus Adam) on 96
@@ -590,16 +584,10 @@ def _row_target(model) -> int:
     """Rows a speculative round aims for: enough that a descent step's
     multiply-adds match its fixed per-call overhead, and at least
     `SEARCH_ROWS`.  Each pending query gets an equal share, except in a
-    first round planned from escape levels, which may carry more, up to
-    `_round_rows`.  It reads only the layer sizes, never a clock, so the
-    schedule is the same on every run."""
+    first round planned from escape levels, which may carry more.  It
+    reads only the layer sizes, never a clock, so the schedule is the same
+    on every run."""
     return max(SEARCH_ROWS, STEP_MACS // _weight_count(model))
-
-
-def _round_rows(model) -> int:
-    """The most rows one round carries: `ROUND_MACS` multiply-adds a step,
-    and at least one row."""
-    return max(1, ROUND_MACS // _weight_count(model))
 
 
 def _search_dtype(model) -> np.dtype:
@@ -656,24 +644,18 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     # so the outcome is the sequential schedule's.  Each pending query's
     # width is the uniform `row_target // (pending * k)` levels, or in its
     # first round L + 2 when that is more, L being its escape level
-    # (`_Objective.escape_levels`).  A round takes pending queries whole, in
-    # order, up to `_round_rows` rows.
+    # (`_Objective.escape_levels`).  A round carries every pending query, so
+    # at most the schedule's levels (k rows each) per query.
     row_target = _row_target(model)
-    max_rows = _round_rows(model)
     level = dict.fromkeys(pending, 0)
     escape = loss.escape_levels(queries[pending], starts[pending]) if pending else None
     planned = {} if escape is None else {i: int(e) + 2 for i, e in zip(pending, escape)}
     while pending:
         uniform = max(1, row_target // (len(pending) * k))
-        rows, total = [], 0
+        rows = []
         for i in pending:
-            width = min(len(schedule) - level[i], max(planned.get(i, 0), uniform),
-                        max(1, max_rows // k))
-            if rows and total + width * k > max_rows:
-                break
+            width = min(len(schedule) - level[i], max(planned.pop(i, 0), uniform))
             rows += [(i, j) for j in range(level[i], level[i] + width)]
-            total += width * k
-            planned.pop(i, None)
         at = np.array([i for i, _ in rows])
         cands, probs = _run_attempt(loss, queries[at], starts[at],
                                     np.array([schedule[j] for _, j in rows]), budget)
@@ -712,6 +694,14 @@ def _settle(cand, valid, query, ref, level, schedule, mad, initializer, budget,
 
 # -- public entry points --------------------------------------------------------------
 
+def _checked_point(x, d: int) -> np.ndarray:
+    """`x` as one float point of `d` features; ExplainError otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ExplainError(f"x must be one point of {d} features, got shape {x.shape}")
+    return x
+
+
 def find_counterfactual(model, x, objective: CfObjective, dataset,
                         initializer: Initializer = Initializer(),
                         budget: SearchBudget = SearchBudget(),
@@ -724,10 +714,7 @@ def find_counterfactual(model, x, objective: CfObjective, dataset,
     exhausted.  ExplainError unless `x` is one point of the dataset's
     features.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dataset.d,):
-        raise ExplainError(f"x must be one point of {dataset.d} features, "
-                           f"got shape {x.shape}")
+    x = _checked_point(x, dataset.d)
     ref = None if cost_reference is None else np.asarray(cost_reference, dtype=float)[None, :]
     return _search_many(model, x[None, :], objective, dataset, initializer, budget, ref)[0]
 
@@ -786,9 +773,11 @@ def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,
 
     Reported as an observable: small for well-behaved models, large when a
     perturbation reroutes the search to a different minimum.  A δ that is
-    not one finite value per feature raises a DataError starting "delta:".
+    not one finite value per feature raises a DataError starting "delta:",
+    and an `x` that is not one point of the dataset's features an
+    ExplainError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _checked_point(x, dataset.d)
     base, moved = batch_explain(model, [x, x + checked_delta(delta, dataset.d)], objective,
                                 dataset, initializer, budget, cost_reference=[x, x],
                                 segments=(1, 1)).results

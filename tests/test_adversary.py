@@ -163,8 +163,17 @@ class TestCounterfactualTermGrad:
 
     def test_several_points_rejected(self, tiny_ds, tiny_net):
         x = tiny_ds.features[:2]
-        with pytest.raises(explainers.ExplainError, match=r"got shape \(1, 2, 2\)"):
+        with pytest.raises(explainers.ExplainError, match=r"got shape \(2, 2\)"):
             counterfactual_term_grad(tiny_net, x, None, CfObjective("wachter"), tiny_ds)
+
+    @pytest.mark.parametrize("delta", [[0.1, 0.0], [0.1, 0.0, 0.0]])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_wrong_length_named(self, d, delta, tiny_ds, tiny_net):
+        """A query of the wrong length is named, before any δ check."""
+        with pytest.raises(explainers.ExplainError,
+                           match=rf"one point of 2 features, got shape \({d},\)"):
+            counterfactual_term_grad(tiny_net, np.zeros(d), delta, CfObjective("wachter"),
+                                     tiny_ds)
 
     def test_shape_and_finite(self, tiny_ds, tiny_net, tiny_search):
         x, _, budget = tiny_search

@@ -341,9 +341,11 @@ class TestFindCounterfactual:
         assert np.array_equal(res.x_cf, res.candidates[res.candidate_index])
 
     def test_wrong_dimension_rejected(self, synth_small, baseline_small):
-        with pytest.raises(ExplainError):
-            find_counterfactual(baseline_small, np.zeros(3), CfObjective("wachter"),
-                                synth_small)
+        for d in (1, 3):
+            with pytest.raises(ExplainError,
+                               match=rf"one point of 2 features, got shape \({d},\)"):
+                find_counterfactual(baseline_small, np.zeros(d), CfObjective("wachter"),
+                                    synth_small)
 
     def test_several_points_rejected(self, synth_small, baseline_small):
         with pytest.raises(ExplainError, match="one point of 2 features"):
@@ -1052,10 +1054,9 @@ FORCED_PLANS = {
 }
 
 
-def _assert_plans_keep_results(monkeypatch, args, round_rows=None):
-    """The search `batch_explain(*args)` under each forced plan, every round
-    at most `round_rows` rows when given, has the reference schedule's
-    results to the byte."""
+def _assert_plans_keep_results(monkeypatch, args):
+    """The search `batch_explain(*args)` under each forced plan has the
+    reference schedule's results to the byte."""
     want = reference_search(*args)
     first = np.array([len(r.lam_attempts) - 1 for r in want if not r.query_was_valid])
     assert first.max() > 1
@@ -1063,16 +1064,11 @@ def _assert_plans_keep_results(monkeypatch, args, round_rows=None):
         with monkeypatch.context() as m:
             levels = plan(first)
             m.setattr(_Objective, "escape_levels", lambda self, queries, starts: levels)
-            if round_rows is not None:
-                m.setattr(explainers, "ROUND_MACS", round_rows * explainers._weight_count(args[0]))
             attempts = _kernel_rows(m)
             got = batch_explain(*args).results
-        rounds = [rows[0] for rows in attempts]
         _assert_same_results(got, want)
-        if round_rows is not None:
-            assert max(rounds) <= round_rows and len(rounds) > 2, name
-        elif name == "past the last level":
-            assert len(rounds) == 1
+        if name == "past the last level":
+            assert len(attempts) == 1
 
 
 @pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
@@ -1084,7 +1080,6 @@ def test_plans_never_change_results(kind, mask, init, monkeypatch, synth_small,
     args = (baseline_small, X, CfObjective(kind, k=2, feature_mask=mask), synth_small,
             Initializer(init, seed=1), SearchBudget(steps=60))
     _assert_plans_keep_results(monkeypatch, args)
-    _assert_plans_keep_results(monkeypatch, args, round_rows=5)
 
 
 @pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
@@ -1094,7 +1089,22 @@ def test_full_scale_plans_never_change_results(kind, init, monkeypatch, full_sca
     mask = tuple((np.arange(ds.d) % 4 > 0).tolist())
     args = (net, X, CfObjective(kind, k=2, feature_mask=mask), ds, Initializer(init, seed=1),
             SearchBudget(steps=30))
-    _assert_plans_keep_results(monkeypatch, args, round_rows=7)
+    _assert_plans_keep_results(monkeypatch, args)
+
+
+def test_full_scale_round_carries_every_query(monkeypatch, full_scale):
+    """Fifteen queries on the 4x200 net (the five rows three times), each
+    planned past the schedule's last level, run as one round of all their
+    levels and keep the reference schedule's results to the byte."""
+    ds, net, X = full_scale
+    args = (net, np.tile(X, (3, 1)), CfObjective("wachter"), ds, Initializer(),
+            SearchBudget(steps=30))
+    want = reference_search(*args)
+    monkeypatch.setattr(_Objective, "escape_levels",
+                        lambda self, queries, starts: np.full(len(queries), 2 * MAX_DOUBLINGS))
+    attempts = _kernel_rows(monkeypatch)
+    _assert_same_results(batch_explain(*args).results, want)
+    assert [rows[0] for rows in attempts] == [15 * (MAX_DOUBLINGS + 1)]
 
 
 @pytest.mark.parametrize("init", ["origin", "gaussian-jitter"])
@@ -1427,9 +1437,18 @@ def test_sensitivity_probe(synth_small, baseline_small):
 
 
 def test_sensitivity_probe_rejects_several_points(synth_small, baseline_small):
-    with pytest.raises(ExplainError, match=r"got shape \(2, 2, 2\)"):
+    with pytest.raises(ExplainError, match=r"got shape \(2, 2\)"):
         sensitivity_probe(baseline_small, synth_small.features[:2], np.array([0.05, 0.0]),
                           CfObjective("wachter"), synth_small)
+
+
+@pytest.mark.parametrize("delta", [[0.05, 0.0], [0.05, 0.0, 0.0]])
+@pytest.mark.parametrize("d", [1, 3])
+def test_sensitivity_probe_rejects_wrong_length(d, delta, synth_small, baseline_small):
+    """A query of the wrong length is named, before any δ check."""
+    with pytest.raises(ExplainError, match=rf"one point of 2 features, got shape \({d},\)"):
+        sensitivity_probe(baseline_small, np.zeros(d), delta, CfObjective("wachter"),
+                          synth_small)
 
 
 @pytest.mark.parametrize("init", [Initializer(), Initializer("gaussian-jitter", seed=3),
