@@ -5,7 +5,8 @@ perturbed non-protected inputs are already accepted; phase two fine-tunes the
 parameters so clean recourse costs look balanced across groups while the
 perturbed searches stay cheap.  Each phase-two evaluation searches the
 audit's own three conditions (`audit._search_conditions`) on a subsample of
-the train split and differentiates each condition once.  The coupling
+the train split and differentiates each condition once, a zero δ's copied
+perturbed condition included.  The coupling
 between parameters and search outcomes is differentiated implicitly: at a
 converged counterfactual the objective's candidate-gradient vanishes, which
 turns the parameter sensitivity into an inverse-Hessian times mixed-partial
@@ -452,7 +453,8 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     (`audit._search_conditions`) on a fixed subsample of the train split's
     predicted negatives.  It raises Phase2Aborted when the search found no
     counterfactual for more than ABORT_NOT_FOUND_RATE of the points, before
-    any implicit step.  Otherwise it takes one implicit step per condition,
+    any implicit step.  Otherwise it takes one implicit step per condition
+    (with δ = 0 too, where the perturbed results copy the clean ones),
     descends on bce + E[np perturbed cost] + (clean disparity)^2, and keeps
     the best iterate that satisfies the perturbed-cheaper-than-protected
     constraint.  The perturbation is never modified here; one that is not
@@ -491,15 +493,8 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         if not_found / total > ABORT_NOT_FOUND_RATE:
             raise Phase2Aborted(not_found / total, step)
         pr_clean_cost, np_clean_cost, np_delta_cost = (run.mean_cost for run in runs)
-        # One implicit step per condition.  With δ = 0 the perturbed condition
-        # repeats the clean one's queries, and so its results: it reuses that step.
-        terms = []
-        for i, (refs, queries, run) in enumerate(conditions):
-            if i and queries.tobytes() == conditions[i - 1][1].tobytes():
-                terms.append(terms[-1])
-            else:
-                terms.append(batch_hypergradient(net, refs, queries, run.results,
-                                                 config.objective, dataset))
+        terms = [batch_hypergradient(net, refs, queries, run.results, config.objective, dataset)
+                 for refs, queries, run in conditions]
         (pr_grad, _), (np_grad, _), (np_delta_grad, _) = terms
         counts = [c for _, c in terms]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -205,17 +206,24 @@ def _search_conditions(model, protected, nonprotected, delta, objective, dataset
 
     Each condition is one segment of the batch and draws its starts as a
     search of its own would, so the two non-protected conditions share
-    theirs.  A zero δ repeats the non-protected segment, which
-    `batch_explain` then searches once.
+    theirs.  When the moved rows hold the same bytes as the clean ones (a
+    zero δ), the perturbed condition would find what the clean one found:
+    only the first two are searched, and the third gets deep copies of the
+    clean condition's results, sharing no array with them.
     """
-    pairs = [(protected, protected), (nonprotected, nonprotected),
-             (nonprotected, nonprotected + delta)]
-    segments = tuple(len(queries) for _, queries in pairs)
+    moved = nonprotected + delta
+    pairs = [(protected, protected), (nonprotected, nonprotected), (nonprotected, moved)]
+    repeat = moved.tobytes() == nonprotected.tobytes()
+    searched = pairs[:2] if repeat else pairs
+    segments = tuple(len(queries) for _, queries in searched)
     batch = explainers.batch_explain(
-        model, np.concatenate([queries for _, queries in pairs]), objective, dataset,
-        initializer, budget, cost_reference=np.concatenate([refs for refs, _ in pairs]),
+        model, np.concatenate([queries for _, queries in searched]), objective, dataset,
+        initializer, budget, cost_reference=np.concatenate([refs for refs, _ in searched]),
         segments=segments)
-    return [(refs, queries, run) for (refs, queries), run in zip(pairs, batch.split(segments))]
+    runs = batch.split(segments)
+    if repeat:
+        runs.append(copy.deepcopy(runs[1]))
+    return [(refs, queries, run) for (refs, queries), run in zip(pairs, runs)]
 
 
 def report_to_csv(report: AuditReport, path) -> None:

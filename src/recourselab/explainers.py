@@ -32,10 +32,10 @@ The adversary's implicit step reads the objective through the same object, one
 per hypergradient batch, and never branches on its kind.  One batch can carry
 several searches as segments of rows, each with its own cost reference per row
 and its own initializer draws: an audit and a phase-2 evaluation search their
-three conditions (protected, non-protected, non-protected + δ) in one call.  A
-segment whose queries and references repeat an earlier segment's bytes is
-searched once: with δ = 0 the third condition gets copies of the second's
-results.
+three conditions (protected, non-protected, non-protected + δ) in one call.
+Every segment is searched, even one that repeats another; a caller that
+would repeat a search leaves it out, as the audit's conditions do for a
+zero δ (`audit._search_conditions`).
 
 Precision rule.  On a net of at least `FLOAT32_WEIGHTS` weights, where a
 descent step is bound by FLOPs, a search's `_Objective` holds a float32
@@ -50,7 +50,6 @@ differences would drown in float32 rounding.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -611,10 +610,13 @@ def _search_many(model, queries, objective, dataset, initializer, budget,
     n, d = queries.shape
     if d != dataset.d:
         raise ExplainError(f"queries have {d} features, dataset has {dataset.d}")
-    loss = _Objective.of(model, objective, dataset, search=True)
     refs = queries if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     if refs.shape != queries.shape:
         raise ExplainError("cost reference shape does not match queries")
+    for name, points in (("queries", queries), ("cost references", refs)):
+        if not np.isfinite(points).all():
+            raise ExplainError(f"{name} must be finite")
+    loss = _Objective.of(model, objective, dataset, search=True)
     schedule = _lam_schedule(objective)
     dice = objective.kind == "dice"
     k = objective.k if dice else 1
@@ -728,42 +730,14 @@ def batch_explain(model, points, objective: CfObjective, dataset,
     The mean cost covers the found-valid subset only; failures are counted,
     not averaged.  `segments` (row counts, see `segment_slices`) stacks
     several searches into this one: each segment draws its random starts as
-    a call of its own would, and `split` recovers its summary.  A segment
-    whose queries and cost references equal an earlier segment's, byte for
-    byte, would find what that segment found, so it is not searched again:
-    it gets copies of that segment's results, sharing no array with them.
+    a call of its own would, and `split` recovers its summary.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    slices = segment_slices(segments, points.shape[0])
+    segment_slices(segments, points.shape[0])      # checked even on no rows
     if points.shape[0] == 0:
         return _summarize([])
-    refs = (points if cost_reference is None
-            else np.atleast_2d(np.asarray(cost_reference, dtype=float)))
-    if refs.shape != points.shape:
-        raise ExplainError("cost reference shape does not match queries")
-    first = _first_equal_segments(points, refs, slices)
-    kept = [i for i, j in enumerate(first) if i == j]
-    counts = tuple(slices[i].stop - slices[i].start for i in kept)
-    found = _search_many(model, np.concatenate([points[slices[i]] for i in kept]),
-                         objective, dataset, initializer, budget,
-                         np.concatenate([refs[slices[i]] for i in kept]), segments=counts)
-    runs = dict(zip(kept, (found[s] for s in segment_slices(counts, len(found)))))
-    results: list[CfResult] = []
-    for i, j in enumerate(first):
-        results += runs[i] if i == j else [copy.deepcopy(r) for r in runs[j]]
-    return _summarize(results)
-
-
-def _first_equal_segments(points, refs, slices) -> list[int]:
-    """For each segment, the first segment holding the same bytes in its
-    queries and cost references: itself when no earlier one does."""
-
-    def same(a, b):   # rows have one length, so equal bytes mean equal row counts
-        return (points[a].tobytes() == points[b].tobytes()
-                and refs[a].tobytes() == refs[b].tobytes())
-
-    return [next((j for j in range(i) if same(slices[j], s)), i)
-            for i, s in enumerate(slices)]
+    return _summarize(_search_many(model, points, objective, dataset, initializer, budget,
+                                   cost_reference, segments=segments))
 
 
 def sensitivity_probe(model, x, delta, objective: CfObjective, dataset,

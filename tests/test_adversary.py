@@ -166,6 +166,12 @@ class TestCounterfactualTermGrad:
         with pytest.raises(explainers.ExplainError, match=r"got shape \(2, 2\)"):
             counterfactual_term_grad(tiny_net, x, None, CfObjective("wachter"), tiny_ds)
 
+    def test_nan_point_rejected(self, tiny_ds, tiny_net):
+        """Refused before any search, not counted as a failed one."""
+        with pytest.raises(explainers.ExplainError, match="queries must be finite"):
+            counterfactual_term_grad(tiny_net, np.array([np.nan, 0.0]), None,
+                                     CfObjective("wachter"), tiny_ds)
+
     @pytest.mark.parametrize("delta", [[0.1, 0.0], [0.1, 0.0, 0.0]])
     @pytest.mark.parametrize("d", [1, 3])
     def test_wrong_length_named(self, d, delta, tiny_ds, tiny_net):
@@ -739,7 +745,7 @@ class TestMergedPhase2:
         n_pr, n_np, n_np2 = calls[0]
         assert n_np == n_np2 and 0 < n_pr <= 12 and 0 < n_np <= 12
 
-    def test_zero_delta_differentiates_the_clean_condition_once(self, monkeypatch):
+    def test_zero_delta_differentiates_each_condition(self, monkeypatch):
         ds = rl.make_synthetic(40, seed=3)
         phase1, config = mini_phase1(steps=0), mini_phase2(steps=1)
         calls = []
@@ -752,7 +758,7 @@ class TestMergedPhase2:
         monkeypatch.setattr(adversary, "batch_hypergradient", counted)
         art = adversary.run_attack(ds, phase1, config)
         assert not art.delta.any() and len(art.phase2_steps) == 2
-        assert len(calls) == 4        # protected and non-protected, per evaluation
+        assert len(calls) == 6        # one per condition, per evaluation
         net, records = reference_phase2(phase1_fit(ds, phase1).model, art.delta, ds, config)
         assert [step_record(s) for s in art.phase2_steps] == records
         assert art.model.flatten().tobytes() == net.flatten().tobytes()

@@ -314,8 +314,19 @@ class TestMergedAudit:
         assert calls == [(n["protected"], n["nonprotected"])]
         assert_matches_three_searches(details, runs, baseline_small, synth_small)
         assert details.report.cost_reduction == 1.0 and details.report.delta_l1 == 0.0
-        for a, b in zip(details.results["nonprotected"], details.results["nonprotected_delta"]):
+        clean, moved = details.results["nonprotected"], details.results["nonprotected_delta"]
+        assert any(r.found for r in clean)
+        for a, b in zip(clean, moved):
             assert a is not b
+            for name in ("x_cf", "candidates"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert not np.shares_memory(x, y)
+            if b.found:
+                before = a.x_cf.tobytes()
+                b.x_cf += 1.0
+                assert a.x_cf.tobytes() == before
 
     def test_one_search_call(self, synth_small, baseline_small, monkeypatch):
         calls = []
