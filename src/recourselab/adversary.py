@@ -5,13 +5,13 @@ perturbed non-protected inputs are already accepted; phase two fine-tunes the
 parameters so clean recourse costs look balanced across groups while the
 perturbed searches stay cheap.  Each phase-two evaluation searches the
 audit's own three conditions (`audit._search_conditions`) on a subsample of
-the train split and differentiates each condition once, a zero δ's copied
-perturbed condition included.  The coupling
-between parameters and search outcomes is differentiated implicitly: at a
-converged counterfactual the objective's candidate-gradient vanishes, which
-turns the parameter sensitivity into an inverse-Hessian times mixed-partial
-product, realized here with central finite differences so only black-box
-access to the search is needed.
+the train split; every evaluation but the last is then differentiated once
+per condition, a zero δ's copied perturbed condition included, to take the
+next step.  The coupling between parameters and search outcomes is
+differentiated implicitly: at a converged counterfactual the objective's
+candidate-gradient vanishes, which turns the parameter sensitivity into an
+inverse-Hessian times mixed-partial product, realized here with central
+finite differences so only black-box access to the search is needed.
 Phase two only needs the cost gradient chained through that product, so it
 solves one Hessian system per point and takes the mixed partials as a single
 weighted parameter backprop per batch (`batch_hypergradient`);
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -422,8 +422,9 @@ class Phase2Step:
     objective: float
     constraint_ok: bool
     not_found: int
-    # the implicit step over the step's three conditions (absent from older
-    # telemetry files, hence the defaults)
+    # the implicit step taken from this evaluation over its three conditions;
+    # 0 on the last evaluation, which takes none (absent from older telemetry
+    # files, hence the defaults)
     hypergrad_full_inverse: int = 0
     hypergrad_diagonal: int = 0
     hypergrad_approximate: int = 0
@@ -453,12 +454,15 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
     (`audit._search_conditions`) on a fixed subsample of the train split's
     predicted negatives.  It raises Phase2Aborted when the search found no
     counterfactual for more than ABORT_NOT_FOUND_RATE of the points, before
-    any implicit step.  Otherwise it takes one implicit step per condition
-    (with δ = 0 too, where the perturbed results copy the clean ones),
-    descends on bce + E[np perturbed cost] + (clean disparity)^2, and keeps
-    the best iterate that satisfies the perturbed-cheaper-than-protected
-    constraint.  The perturbation is never modified here; one that is not
-    one finite value per feature raises a DataError starting "delta:".
+    any implicit step.  Otherwise it records bce + E[np perturbed cost] +
+    (clean disparity)^2 and keeps the best iterate that satisfies the
+    perturbed-cheaper-than-protected constraint.  Every evaluation but the
+    last then takes one implicit step per condition (with δ = 0 too, where
+    the perturbed results copy the clean ones) and one Adam step on that
+    objective; so `steps` steps take 3·`steps` hypergradients, and the last
+    record's hypergradient counts read 0.  The perturbation is never
+    modified here; one that is not one finite value per feature raises a
+    DataError starting "delta:".
     """
     delta = checked_delta(delta, dataset.d)
     net = model.clone()
@@ -493,40 +497,35 @@ def phase2_fit(model: MlpClassifier, delta: np.ndarray, dataset: Dataset,
         if not_found / total > ABORT_NOT_FOUND_RATE:
             raise Phase2Aborted(not_found / total, step)
         pr_clean_cost, np_clean_cost, np_delta_cost = (run.mean_cost for run in runs)
-        terms = [batch_hypergradient(net, refs, queries, run.results, config.objective, dataset)
-                 for refs, queries, run in conditions]
-        (pr_grad, _), (np_grad, _), (np_delta_grad, _) = terms
-        counts = [c for _, c in terms]
-
-        if step == config.steps:    # the last evaluation takes no step
-            bce = net.bce_loss(X, y)
-        else:
-            bce, g_bce = net.bce_loss_and_grad(X, y)
+        bce = net.bce_loss(X, y)
         disparity = pr_clean_cost - np_clean_cost
         objective_value = (config.bce_weight * bce
                            + config.np_cost_weight * np_delta_cost
                            + config.disparity_weight * disparity ** 2)
         constraint_ok = bool(np.isfinite(np_delta_cost) and np.isfinite(pr_clean_cost)
                              and np_delta_cost < pr_clean_cost)
-        telemetry.append(Phase2Step(
+        record = Phase2Step(
             disparity=float(abs(disparity)) if np.isfinite(disparity) else float("nan"),
             np_delta_cost=np_delta_cost, np_clean_cost=np_clean_cost,
             pr_clean_cost=pr_clean_cost, bce=bce,
             objective=float(objective_value), constraint_ok=constraint_ok,
-            not_found=not_found,
-            hypergrad_full_inverse=sum(c.full_inverse for c in counts),
-            hypergrad_diagonal=sum(c.diagonal for c in counts),
-            hypergrad_approximate=sum(c.approximate for c in counts),
-            hypergrad_skipped=sum(c.skipped for c in counts)))
+            not_found=not_found)
+        telemetry.append(record)
         if constraint_ok:
             constraint_ever = True
             if objective_value < best_objective:
                 best_objective = objective_value
                 best_flat = net.flatten()
 
-        if step == config.steps:
+        if step == config.steps:    # the last evaluation takes no step
             break
-        grad = config.bce_weight * g_bce + config.np_cost_weight * np_delta_grad
+        terms = [batch_hypergradient(net, refs, queries, run.results, config.objective, dataset)
+                 for refs, queries, run in conditions]
+        (pr_grad, _), (np_grad, _), (np_delta_grad, _) = terms
+        (record.hypergrad_full_inverse, record.hypergrad_diagonal, record.hypergrad_approximate,
+         record.hypergrad_skipped) = np.sum([astuple(c) for _, c in terms], axis=0).tolist()
+        grad = config.bce_weight * net.grad_params_bce(X, y) \
+            + config.np_cost_weight * np_delta_grad
         if np.isfinite(disparity):
             grad = grad + config.disparity_weight * 2.0 * disparity * (pr_grad - np_grad)
         theta = adam_step(state, theta, grad)

@@ -675,9 +675,10 @@ def _settle(cand, valid, query, ref, level, schedule, mad, initializer, budget,
     """A query's result from its attempt at schedule `level`, which returned
     the candidates `cand` (k, d) with verdicts `valid`, or None while its
     escalation goes on.  Found when every candidate is valid, or at the last
-    level when some is: dice then keeps its closest valid candidate from a
-    partial set.  Not found when none is at the last level.  The attempts
-    are the schedule's levels up to `level`."""
+    level when some is.  Not found when none is at the last level.  Dice
+    keeps the valid candidate closest to the query in the MAD-weighted l1 of
+    `dist_wachter`, which it optimises.  The attempts are the schedule's
+    levels up to `level`."""
     if not (valid.all() or level == len(schedule) - 1):
         return None
     run = dict(iterations=(level + 1) * budget.steps, final_lam=schedule[level],
@@ -685,7 +686,7 @@ def _settle(cand, valid, query, ref, level, schedule, mad, initializer, budget,
                lam_attempts=tuple(schedule[:level + 1]))
     if not valid.any():
         return CfResult(x_cf=None, valid=False, cost=float("nan"), **run)
-    l1 = np.abs(cand - query).sum(axis=1)
+    l1 = (np.abs(cand - query) / mad).sum(axis=1)
     l1[~valid] = np.inf
     pick = int(np.argmin(l1))
     x_cf = cand[pick].copy()

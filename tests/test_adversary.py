@@ -551,10 +551,12 @@ def step_record(s):
 
 def reference_phase2(model, delta, dataset, config):
     """Phase two from public calls alone: per evaluation, one `batch_explain`
-    and one `batch_hypergradient` for each audit condition (protected,
-    non-protected, non-protected moved by δ with costs from the clean rows),
-    and one model call per loss and gradient.  Returns the kept parameters
-    and each evaluation's `phase2_record`."""
+    for each audit condition (protected, non-protected, non-protected moved
+    by δ with costs from the clean rows) and one model call for the loss;
+    every evaluation but the last then takes one `batch_hypergradient` per
+    condition and one model call for the loss gradient, and its hypergradient
+    counts are those of that step (the last record's read 0).  Returns the
+    kept parameters and each evaluation's `phase2_record`."""
     net = model.clone()
     X, y = dataset.train_features, dataset.train_labels
     slices = dataset.group_slices(net, split="train")
@@ -569,33 +571,35 @@ def reference_phase2(model, delta, dataset, config):
     state = AdamState(lr=config.lr)
     records, best_flat, best_objective = [], None, np.inf
     for step in range(config.steps + 1):
-        costs, grads, counts, not_found = [], [], np.zeros(4, dtype=int), 0
-        for refs, queries in ((pr, pr), (np_, np_), (np_, np_ + delta)):
-            run = rl.batch_explain(net, queries, config.objective, dataset, config.initializer,
-                                   config.budget, cost_reference=refs)
-            grad, c = batch_hypergradient(net, refs, queries, run.results, config.objective,
-                                          dataset)
-            costs.append(run.mean_cost)
-            grads.append(grad)
-            counts += dataclasses.astuple(c)
-            not_found += run.not_found
-        (pr_cost, np_cost, np_delta_cost), (pr_grad, np_grad, np_delta_grad) = costs, grads
+        conditions = [(refs, queries, rl.batch_explain(net, queries, config.objective, dataset,
+                                                       config.initializer, config.budget,
+                                                       cost_reference=refs))
+                      for refs, queries in ((pr, pr), (np_, np_), (np_, np_ + delta))]
+        pr_cost, np_cost, np_delta_cost = (run.mean_cost for _, _, run in conditions)
+        not_found = sum(run.not_found for _, _, run in conditions)
         bce = net.bce_loss(X, y)
         disparity = pr_cost - np_cost
         objective = (config.bce_weight * bce + config.np_cost_weight * np_delta_cost
                      + config.disparity_weight * disparity ** 2)
         ok = np.isfinite(np_delta_cost) and np.isfinite(pr_cost) and np_delta_cost < pr_cost
-        records.append(phase2_record(bce, objective, np_delta_cost, np_cost, pr_cost, ok,
-                                     not_found, counts.tolist()))
         if ok and objective < best_objective:
             best_objective, best_flat = objective, net.flatten()
-        if step == config.steps:
-            break
-        grad = config.bce_weight * net.grad_params_bce(X, y) \
-            + config.np_cost_weight * np_delta_grad
-        if np.isfinite(disparity):
-            grad = grad + config.disparity_weight * 2.0 * disparity * (pr_grad - np_grad)
-        net.set_flat(adam_step(state, net.flatten(), grad))
+        counts = np.zeros(4, dtype=int)
+        if step < config.steps:
+            grads = []
+            for refs, queries, run in conditions:
+                grad, c = batch_hypergradient(net, refs, queries, run.results,
+                                              config.objective, dataset)
+                grads.append(grad)
+                counts += dataclasses.astuple(c)
+            pr_grad, np_grad, np_delta_grad = grads
+            grad = config.bce_weight * net.grad_params_bce(X, y) \
+                + config.np_cost_weight * np_delta_grad
+            if np.isfinite(disparity):
+                grad = grad + config.disparity_weight * 2.0 * disparity * (pr_grad - np_grad)
+            net.set_flat(adam_step(state, net.flatten(), grad))
+        records.append(phase2_record(bce, objective, np_delta_cost, np_cost, pr_cost, ok,
+                                     not_found, counts.tolist()))
     if best_flat is not None:
         net.set_flat(best_flat)
     return net, records
@@ -647,12 +651,30 @@ class TestPhase2:
         assert isinstance(step.constraint_ok, bool)
 
     def test_hypergradient_counts(self, synth_small, baseline_small):
-        art = phase2_fit(baseline_small, np.zeros(2), synth_small, mini_phase2(steps=0))
-        step = art.phase2_steps[0]
-        solved = step.hypergrad_full_inverse + step.hypergrad_diagonal
+        art = phase2_fit(baseline_small, np.zeros(2), synth_small, mini_phase2(steps=1))
+        first, last = art.phase2_steps
+        solved = first.hypergrad_full_inverse + first.hypergrad_diagonal
         assert solved > 0
-        assert 0 <= step.hypergrad_approximate <= solved
-        assert step.hypergrad_skipped >= 0
+        assert 0 <= first.hypergrad_approximate <= solved
+        assert first.hypergrad_skipped >= 0
+        assert (last.hypergrad_full_inverse, last.hypergrad_diagonal,
+                last.hypergrad_approximate, last.hypergrad_skipped) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_hypergradients_only_for_steps(self, synth_small, baseline_small, monkeypatch,
+                                           steps):
+        calls = []
+        hypergradient = adversary.batch_hypergradient
+
+        def counted(*args):
+            calls.append(args)
+            return hypergradient(*args)
+
+        monkeypatch.setattr(adversary, "batch_hypergradient", counted)
+        art = phase2_fit(baseline_small, np.array([0.3, -0.2]), synth_small,
+                         mini_phase2(steps=steps))
+        assert len(art.phase2_steps) == steps + 1
+        assert len(calls) == 3 * steps      # one per condition, per step taken
 
     def test_no_dense_jacobian(self, synth_small, baseline_small, monkeypatch):
         def refuse(*args, **kwargs):
@@ -758,7 +780,7 @@ class TestMergedPhase2:
         monkeypatch.setattr(adversary, "batch_hypergradient", counted)
         art = adversary.run_attack(ds, phase1, config)
         assert not art.delta.any() and len(art.phase2_steps) == 2
-        assert len(calls) == 6        # one per condition, per evaluation
+        assert len(calls) == 3        # one per condition, for the one step
         net, records = reference_phase2(phase1_fit(ds, phase1).model, art.delta, ds, config)
         assert [step_record(s) for s in art.phase2_steps] == records
         assert art.model.flatten().tobytes() == net.flatten().tobytes()

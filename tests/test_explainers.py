@@ -335,10 +335,24 @@ class TestFindCounterfactual:
         assert res.valid
         assert res.candidates.shape == (4, 2)
         valid = baseline_small.forward(res.candidates) > 0.5
-        l1 = np.abs(res.candidates - x).sum(axis=1)
+        l1 = (np.abs(res.candidates - x) / synth_small.mad).sum(axis=1)
         l1[~valid] = np.inf
         assert res.candidate_index == int(np.argmin(l1))
         assert np.array_equal(res.x_cf, res.candidates[res.candidate_index])
+
+    def test_dice_pick_is_mad_weighted(self):
+        # a partial set at the last level; l1 to the query 1, 5 and 0.1, and
+        # MAD-weighted 1, 0.5 and 0.1: the closest candidate is invalid, and
+        # of the valid two the unweighted pick would be the first
+        cand = np.array([[1.0, 0.0], [0.0, 5.0], [0.1, 0.0]])
+        valid = np.array([True, True, False])
+        query, mad = np.zeros(2), np.array([1.0, 10.0])
+        schedule = explainers._lam_schedule(CfObjective("dice", k=3))
+        res = explainers._settle(cand, valid, query, query, len(schedule) - 1, schedule, mad,
+                                 Initializer(), SearchBudget(), True)
+        assert res.found and res.candidate_index == 1
+        assert np.array_equal(res.x_cf, cand[1]) and np.array_equal(res.candidates, cand)
+        assert res.cost == dist_wachter(query, cand[1], mad) == 0.5
 
     def test_wrong_dimension_rejected(self, synth_small, baseline_small):
         for d in (1, 3):
@@ -493,9 +507,9 @@ def reference_search(model, points, objective, dataset, initializer=Initializer(
     makes an attempt from its start (`_reference_descent`), then gets the
     model's float64 verdict and `_snap_to_query`.  A query settles when
     every candidate is valid or the levels run out; dice keeps its closest
-    valid candidate (least l1 to the query), also from a partial set at the
-    last level.  An origin start the model already accepts is its own
-    counterfactual."""
+    valid candidate (least MAD-weighted l1 to the query), also from a
+    partial set at the last level.  An origin start the model already
+    accepts is its own counterfactual."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     refs = X if cost_reference is None else np.atleast_2d(np.asarray(cost_reference, dtype=float))
     loss = _search_objective(model, objective, dataset.mad, dataset.train_features)
@@ -525,7 +539,8 @@ def reference_search(model, points, objective, dataset, initializer=Initializer(
             if not valid.any():
                 results[i] = CfResult(None, False, float("nan"), **run)
                 continue
-            l1 = [np.abs(c - X[i]).sum() if v else np.inf for c, v in zip(cands, valid)]
+            l1 = [np.sum(np.abs(c - X[i]) / dataset.mad) if v else np.inf
+                  for c, v in zip(cands, valid)]
             pick = int(np.argmin(l1))
             extra = dict(candidates=cands.copy(), candidate_index=pick) if dice else {}
             results[i] = CfResult(cands[pick].copy(), True,
